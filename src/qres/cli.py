@@ -48,7 +48,7 @@ from .oscillator import (
 )
 from .numerics import RngStream
 from .probe import ProbeSpec, density, gamma_for_energy, mean_energy, truncation_window
-from .simulate import draw, draw_uniform, mle, posterior, run_trials
+from .simulate import draw, draw_uniform, posterior, run_trials
 
 DEFAULT_SEED = 42
 DEFAULT_REPETITIONS = 50
@@ -172,35 +172,23 @@ def _write_posterior_csv(path: str, grid) -> None:
 def _cmd_simulate(args) -> int:
     spec, energy = _resolve_spec(args.alpha, args.energy, args.gamma)
     seed = _resolve_seed(args)
-    sampler = draw_uniform if args.uniform_sampling else draw
-
-    if args.trials == 1:
-        samples = sampler(spec, args.chi, args.n, RngStream(seed, 0))
-        grid = posterior(samples, args.grid_points)
-        estimate = mle(samples)
-        mle_variance = None
-        posterior_mean = grid.mean
-        posterior_variance = grid.variance
-        if args.posterior_out:
-            _write_posterior_csv(args.posterior_out, grid)
-    else:
-        summary = run_trials(
-            spec.alpha,
-            energy,
-            args.n,
-            args.chi,
-            args.trials,
-            seed,
-            grid_points=args.grid_points,
-            uniform_sampling=args.uniform_sampling,
-        )
-        estimate = summary.mle_mean
-        mle_variance = summary.mle_variance
-        posterior_mean = float(summary.posterior_means.mean())
-        posterior_variance = summary.mean_posterior_variance
-        if args.posterior_out:
-            samples = sampler(spec, args.chi, args.n, RngStream(seed, 0))
-            _write_posterior_csv(args.posterior_out, posterior(samples, args.grid_points))
+    summary = run_trials(
+        spec.alpha,
+        energy,
+        args.n,
+        args.chi,
+        args.trials,
+        seed,
+        grid_points=args.grid_points,
+        uniform_sampling=args.uniform_sampling,
+    )
+    if args.posterior_out:
+        # trial 0 again, drawn with the probe run_trials builds from the energy
+        trial_spec = ProbeSpec(spec.alpha, gamma_for_energy(spec.alpha, energy))
+        sampler = draw_uniform if args.uniform_sampling else draw
+        samples = sampler(trial_spec, args.chi, args.n, RngStream(seed, 0))
+        grid = posterior(samples, args.grid_points, center=summary.mles[0])
+        _write_posterior_csv(args.posterior_out, grid)
 
     payload = {
         "alpha": spec.alpha,
@@ -209,10 +197,10 @@ def _cmd_simulate(args) -> int:
         "n": args.n,
         "trials": args.trials,
         "chi_true": args.chi,
-        "mle": estimate,
-        "mle_variance": mle_variance,
-        "posterior_mean": posterior_mean,
-        "posterior_variance": posterior_variance,
+        "mle": summary.mle_mean,
+        "mle_variance": summary.mle_variance,
+        "posterior_mean": float(summary.posterior_means.mean()),
+        "posterior_variance": summary.mean_posterior_variance,
         "energy_bound": energy_bound(spec.alpha, energy, args.n),
         "approx_bound": energy_bound_approx(spec.alpha, energy, args.n),
         "n_required": repetitions_required(spec.alpha).closed_form,

@@ -1,6 +1,5 @@
 """Self-contained numerical kernel: special functions, adaptive quadrature,
-one-dimensional convex minimization, gamma-variate sampling, and reproducible
-seeded random streams.
+gamma-variate sampling, and reproducible seeded random streams.
 
 Everything here is deterministic given its inputs.  Randomness enters only
 through :class:`RngStream`, an explicit value owned and advanced by the
@@ -20,7 +19,6 @@ __all__ = [
     "RngStream",
     "integrate",
     "log_gamma",
-    "minimize_1d",
     "sample_gamma",
 ]
 
@@ -263,45 +261,6 @@ def integrate(
                 estimate, error = _panel(f, left, right)
                 evals += _EVALS_PER_PANEL
                 heapq.heappush(heap, (-error, left, right, estimate))
-
-
-# ---------------------------------------------------------------------------
-# One-dimensional convex minimization
-# ---------------------------------------------------------------------------
-
-_INV_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
-_MAX_SHRINK_STEPS = 300
-
-
-def minimize_1d(f, lo: float, hi: float, tol: float) -> float:
-    """Argmin of a strictly convex scalar function on [lo, hi], within ±tol.
-
-    Golden-section search: the bracket shrinks by a constant factor per step
-    regardless of where the minimizer sits, so asymmetric brackets converge
-    just as well as symmetric ones.  The step cap only guards against a
-    tolerance below floating-point resolution.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-        raise DomainError(f"invalid bracket [{lo}, {hi}]")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError("tol must be positive and finite")
-
-    a, b = float(lo), float(hi)
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(_MAX_SHRINK_STEPS):
-        if (b - a) <= 2.0 * tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------

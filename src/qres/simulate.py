@@ -1,9 +1,10 @@
 """Monte-Carlo measurement simulation and estimation.
 
 A trial draws N momentum outcomes from the probe density shifted by the true
-signal, computes the maximum-likelihood estimate (the minimizer of
-sum_j |p_j - x|^alpha, strictly convex for even alpha >= 2), and builds the
-Bayesian posterior of the signal under a flat prior,
+signal, computes the maximum-likelihood estimate once (the minimizer of
+sum_j |p_j - x|^alpha, strictly convex for even alpha >= 2, found as the root
+of its monotone score), and builds the Bayesian posterior of the signal under
+a flat prior,
 
     posterior(x) ~ exp( -2 sum_j |(p_j - x) / gamma|^alpha ),
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, ResolutionError
 from .metrology import energy_bound, fisher_closed
-from .numerics import RngStream, minimize_1d, sample_gamma
+from .numerics import RngStream, sample_gamma
 from .probe import ProbeSpec, gamma_for_energy, mean_energy, validate_alpha
 
 __all__ = [
@@ -45,6 +46,15 @@ __all__ = [
 _GRID_SIGMAS = 8.0
 
 _MLE_TOL_FACTOR = 1e-10
+
+# Newton steps that keep halving, and bisections that halve the bracket,
+# converge in a few dozen steps; the cap only bounds the loop.
+_MLE_MAX_STEPS = 200
+
+# Grid points x samples per block of the likelihood sum: the working block is
+# 512 kB whatever the sample count, so posterior memory is O(grid), not
+# O(grid x N).
+_LIKELIHOOD_BLOCK_CELLS = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,18 +148,31 @@ def draw_uniform(spec: ProbeSpec, chi: float, n: int, stream: RngStream) -> Samp
 
 
 def _log_likelihood(samples: SampleSet, grid: np.ndarray) -> np.ndarray:
-    """Unnormalized log-likelihood of the signal on a grid of candidates."""
+    """Unnormalized log-likelihood of the signal on a grid of candidates,
+    -2 sum_j |(p_j - x) / gamma|^alpha, summed over blocks of samples."""
     spec = samples.spec
-    residuals = np.abs(samples.outcomes[None, :] - grid[:, None]) / spec.gamma
-    return -2.0 * np.sum(residuals**spec.alpha, axis=1)
+    outcomes = samples.outcomes
+    block_size = max(1, _LIKELIHOOD_BLOCK_CELLS // grid.size)
+    total = np.zeros(grid.size)
+    for start in range(0, outcomes.size, block_size):
+        residuals = np.subtract.outer(outcomes[start : start + block_size], grid)
+        np.abs(residuals, out=residuals)
+        residuals /= spec.gamma
+        np.power(residuals, spec.alpha, out=residuals)
+        total += residuals.sum(axis=0)
+    return -2.0 * total
 
 
 def mle(samples: SampleSet) -> float:
     """Maximum-likelihood signal estimate.
 
-    The unique minimizer of sum_j |p_j - x|^alpha over [min p_j, max p_j],
-    found by golden-section search to 1e-10 * gamma.  For alpha = 2 this is
-    the sample mean; as alpha grows it approaches the midrange.
+    The unique minimizer of sum_j |p_j - x|^alpha, found to 1e-10 * gamma as
+    the root of the decreasing score sum_j sign(r_j) |r_j|^(alpha - 1) by
+    Newton steps safeguarded with bisection on [min p_j, max p_j].  The
+    residuals r_j = (p_j - x) / s are scaled by the sample half-range s, so
+    the largest is O(1) and no power can overflow or underflow to a wrong
+    root at any alpha or energy.  For alpha = 2 this is the sample mean; as
+    alpha grows it approaches the midrange.
     """
     outcomes = samples.outcomes
     lo = float(outcomes.min())
@@ -157,24 +180,46 @@ def mle(samples: SampleSet) -> float:
     if lo == hi:
         return lo
     alpha = samples.spec.alpha
-
-    def objective(x):
-        return float(np.sum(np.abs(outcomes - x) ** alpha))
-
-    return minimize_1d(objective, lo, hi, _MLE_TOL_FACTOR * samples.spec.gamma)
+    if alpha == 2:
+        return float(outcomes.mean())
+    tol = _MLE_TOL_FACTOR * samples.spec.gamma
+    scale = 0.5 * (hi - lo)
+    x = lo + scale
+    step = hi - lo
+    for _ in range(_MLE_MAX_STEPS):
+        r = (outcomes - x) / scale
+        weights = np.abs(r) ** (alpha - 2)
+        score = float(r @ weights)
+        if score > 0.0:
+            lo = x
+        elif score < 0.0:
+            hi = x
+        else:
+            return x
+        newton = scale * score / ((alpha - 1) * float(weights.sum()))
+        # bisect when Newton leaves the bracket or stops halving its step
+        if lo <= x + newton <= hi and abs(newton) <= 0.5 * abs(step):
+            step = newton
+        else:
+            step = 0.5 * (lo + hi) - x
+        x += step
+        if abs(step) <= tol:
+            return x
+    return x
 
 
 def _trapezoid(values: np.ndarray, dx: float) -> float:
-    return dx * (math.fsum(values) - 0.5 * (values[0] + values[-1]))
+    return float(dx * (values.sum() - 0.5 * (values[0] + values[-1])))
 
 
 def posterior(
     samples: SampleSet,
     grid_points: int = 2001,
     half_width: float | None = None,
+    center: float | None = None,
 ) -> PosteriorGrid:
     """Signal posterior under a flat prior, on a uniform grid centered at the
-    maximum-likelihood estimate.
+    maximum-likelihood estimate (``center``, computed when not given).
 
     The default half-width is 8/sqrt(N F) with F the closed-form Fisher
     information, i.e. eight Cramer-Rao standard deviations.  The grid density
@@ -195,7 +240,10 @@ def posterior(
             f"grid_points must be an odd integer >= 101, got {grid_points!r}"
         )
     spec = samples.spec
-    center = mle(samples)
+    if center is None:
+        center = mle(samples)
+    elif not math.isfinite(center):
+        raise DomainError("center must be finite")
     if half_width is None:
         fisher = fisher_closed(spec)
         half_width = _GRID_SIGMAS / math.sqrt(samples.n * fisher)
@@ -242,7 +290,8 @@ class TrialSummary:
 
     ``mles`` and ``posterior_variances`` are per-trial values (the latter is
     None when the study skipped posteriors); ``mle_variance`` is the
-    empirical variance of the estimates across trials, and
+    empirical variance of the estimates across trials (None for a single
+    trial), and
     ``posterior_to_bound_ratio`` compares the mean posterior variance to the
     energy-constrained bound for the same parameters.
     """
@@ -257,7 +306,7 @@ class TrialSummary:
     posterior_means: np.ndarray | None
     posterior_variances: np.ndarray | None
     mle_mean: float
-    mle_variance: float
+    mle_variance: float | None
     mean_posterior_variance: float | None
     energy_bound: float
     posterior_to_bound_ratio: float | None
@@ -283,8 +332,8 @@ def run_trials(
     from the square-profile stand-in instead of the exact density.
     """
     alpha = validate_alpha(alpha)
-    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 2:
-        raise DomainError(f"trials must be an integer >= 2, got {trials!r}")
+    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 1:
+        raise DomainError(f"trials must be a positive integer, got {trials!r}")
     trials = int(trials)
     spec = ProbeSpec(alpha, gamma_for_energy(alpha, energy))
     sampler = draw_uniform if uniform_sampling else draw
@@ -296,7 +345,7 @@ def run_trials(
         samples = sampler(spec, chi, n, RngStream(seed, j))
         estimates[j] = mle(samples)
         if compute_posterior:
-            grid = posterior(samples, grid_points)
+            grid = posterior(samples, grid_points, center=estimates[j])
             post_means[j] = grid.mean
             post_vars[j] = grid.variance
 
@@ -313,7 +362,7 @@ def run_trials(
         posterior_means=post_means,
         posterior_variances=post_vars,
         mle_mean=float(estimates.mean()),
-        mle_variance=float(estimates.var(ddof=1)),
+        mle_variance=float(estimates.var(ddof=1)) if trials > 1 else None,
         mean_posterior_variance=mean_post_var,
         energy_bound=bound,
         posterior_to_bound_ratio=(

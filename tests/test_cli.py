@@ -3,6 +3,7 @@ seeding and determinism."""
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -165,6 +166,76 @@ class TestSimulateCommand:
         payload = json.loads(out)
         assert payload["trials"] == 5
         assert payload["mle_variance"] is not None
+
+    # JSON recorded when the MLE was a golden-section search, whose flat zone
+    # leaves its estimates up to about 1e-8 gamma from the exact MLE (see
+    # tests/test_simulate.py); the posterior moments agree to 1e-12.
+    PINNED = {
+        3: {
+            "alpha": 4,
+            "energy": 0.5,
+            "gamma": 1.4464090846320767,
+            "n": 10,
+            "trials": 3,
+            "chi_true": 0.0,
+            "mle": -0.29925127751874064,
+            "mle_variance": 0.005533977816682755,
+            "posterior_mean": -0.29607861264953567,
+            "posterior_variance": 0.045969130621479226,
+            "energy_bound": 0.036473993587107935,
+            "approx_bound": 0.0375,
+            "n_required": 2.376879230452949,
+            "uniform_sampling": False,
+            "seed": 5,
+        },
+        1: {
+            "alpha": 4,
+            "energy": 0.5,
+            "gamma": 1.4464090846320767,
+            "n": 10,
+            "trials": 1,
+            "chi_true": 0.0,
+            "mle": -0.2373520975449266,
+            "mle_variance": None,
+            "posterior_mean": -0.23504102487211692,
+            "posterior_variance": 0.02740024705342954,
+            "energy_bound": 0.036473993587107935,
+            "approx_bound": 0.0375,
+            "n_required": 2.376879230452949,
+            "uniform_sampling": False,
+            "seed": 5,
+        },
+    }
+
+    @pytest.mark.parametrize("trials", sorted(PINNED))
+    def test_matches_pinned_output(self, tmp_path, trials):
+        code, out, _ = run_cli(
+            ["simulate", "--alpha", "4", "--energy", "0.5", "--n", "10"]
+            + ["--trials", str(trials), "--seed", "5"],
+            tmp_path,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        pinned = self.PINNED[trials]
+        assert list(payload) == list(pinned)
+        eps = 1e-8 * pinned["gamma"]
+        assert payload["mle"] == pytest.approx(pinned["mle"], rel=0, abs=eps)
+        if trials == 1:
+            assert payload["mle_variance"] is None
+        else:
+            # bound on the change of a T-trial sample variance when every
+            # estimate moves by at most eps
+            ratio = trials / (trials - 1)
+            slack = 4 * eps * math.sqrt(ratio * pinned["mle_variance"]) + 4 * ratio * eps**2
+            assert payload["mle_variance"] == pytest.approx(
+                pinned["mle_variance"], rel=0, abs=slack
+            )
+        for key in ("posterior_mean", "posterior_variance"):
+            assert payload[key] == pytest.approx(pinned[key], rel=1e-12, abs=0)
+        moved = {"mle", "mle_variance", "posterior_mean", "posterior_variance"}
+        assert {k: v for k, v in payload.items() if k not in moved} == {
+            k: v for k, v in pinned.items() if k not in moved
+        }
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         import os

@@ -1,8 +1,8 @@
 """Tests for the numerical kernel.
 
 Oracles: the stdlib ``math.lgamma`` for log-gamma, analytic integrals for
-quadrature, known minimizers for the search, and distribution moments plus a
-Kolmogorov-Smirnov check (scipy) for the gamma sampler.
+quadrature, and distribution moments plus a Kolmogorov-Smirnov check (scipy)
+for the gamma sampler.
 """
 
 import math
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qres.errors import AccuracyError, DomainError
-from qres.numerics import RngStream, integrate, log_gamma, minimize_1d, sample_gamma
+from qres.numerics import RngStream, integrate, log_gamma, sample_gamma
 
 
 class TestLogGamma:
@@ -81,50 +81,6 @@ class TestIntegrate:
             integrate(lambda x: x, 1.0, 0.0, 1e-8)
         with pytest.raises(DomainError):
             integrate(lambda x: x, 0.0, math.inf, 1e-8)
-
-
-class TestMinimize1d:
-    def test_shifted_parabola(self):
-        assert minimize_1d(lambda x: (x - 2.0) ** 2, 0.0, 5.0, 1e-10) == pytest.approx(
-            2.0, abs=1e-9
-        )
-
-    def test_quartic_kink(self):
-        assert minimize_1d(
-            lambda x: abs(x - 1.0) ** 4, -3.0, 3.0, 1e-10
-        ) == pytest.approx(1.0, abs=1e-8)
-
-    def test_least_squares_minimizer_is_the_mean(self):
-        # The quadratic objective is numerically flat within ~sqrt(eps) of
-        # its vertex, so the assertion allows that conditioning floor.
-        data = np.array([0.3, -1.2, 2.5, 0.9, -0.4])
-        result = minimize_1d(
-            lambda x: float(np.sum((data - x) ** 2)), -2.0, 3.0, 1e-10
-        )
-        assert result == pytest.approx(data.mean(), abs=1e-7)
-
-    @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(
-        vertex=st.floats(min_value=-5.0, max_value=5.0),
-        pad_left=st.floats(min_value=0.1, max_value=50.0),
-        pad_right=st.floats(min_value=0.1, max_value=50.0),
-    )
-    def test_quadratic_vertex_regardless_of_bracket_asymmetry(
-        self, vertex, pad_left, pad_right
-    ):
-        result = minimize_1d(
-            lambda x: (x - vertex) ** 2,
-            vertex - pad_left,
-            vertex + pad_right,
-            1e-8,
-        )
-        assert abs(result - vertex) <= 1e-8
-
-    def test_invalid_bracket(self):
-        with pytest.raises(DomainError):
-            minimize_1d(lambda x: x * x, 2.0, 1.0, 1e-8)
-        with pytest.raises(DomainError):
-            minimize_1d(lambda x: x * x, 0.0, 1.0, -1e-8)
 
 
 class TestRngStream:
