@@ -30,11 +30,11 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, ResolutionError
 from .metrology import (
+    _repetitions_closed,
     bound_report,
     energy_bound,
     energy_bound_approx,
     normalized_bound,
-    repetitions_required,
     scenario_chi_electric,
     scenario_chi_stern_gerlach,
 )
@@ -47,7 +47,14 @@ from .oscillator import (
     number_shift_fisher,
 )
 from .numerics import RngStream
-from .probe import ProbeSpec, density, gamma_for_energy, mean_energy, truncation_window
+from .probe import (
+    ProbeSpec,
+    density,
+    gamma_for_energy,
+    mean_energy,
+    truncation_window,
+    validate_alpha,
+)
 from .simulate import draw, draw_uniform, posterior, run_trials
 
 DEFAULT_SEED = 42
@@ -149,8 +156,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.alpha_min < 2 or args.alpha_min % 2 or args.alpha_max % 2:
-        raise DomainError("--alpha-min/--alpha-max must be even integers >= 2")
+    validate_alpha(args.alpha_min)
+    validate_alpha(args.alpha_max)
     if args.alpha_max < args.alpha_min:
         raise DomainError("--alpha-max must be >= --alpha-min")
     rows = []
@@ -203,7 +210,7 @@ def _cmd_simulate(args) -> int:
         "posterior_variance": summary.mean_posterior_variance,
         "energy_bound": energy_bound(spec.alpha, energy, args.n),
         "approx_bound": energy_bound_approx(spec.alpha, energy, args.n),
-        "n_required": repetitions_required(spec.alpha).closed_form,
+        "n_required": _repetitions_closed(spec.alpha),
         "uniform_sampling": args.uniform_sampling,
         "seed": seed,
     }

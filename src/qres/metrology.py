@@ -33,8 +33,9 @@ from .errors import DomainError
 from .numerics import integrate, log_gamma
 from .probe import (
     ProbeSpec,
+    _log_prefactor,
+    _scaled_power,
     gamma_for_energy,
-    log_density,
     position_variance,
     truncation_window,
     uncertainty_product,
@@ -99,26 +100,19 @@ def fisher_numeric(spec: ProbeSpec, chi: float = 0.0, rel_tol: float = 1e-8) -> 
     ``chi``; the parameter exists to let callers confirm that.  The score is
     analytic, d(ln P)/dp = -(2 alpha / gamma) |u|^(alpha-1) sign(u) with
     u = (p - chi)/gamma, so the integrand is the squared score times the
-    density, evaluated in the log domain.
+    density, with every power of |u| formed in the log domain.
     """
     chi = float(chi)
     if not math.isfinite(chi):
         raise DomainError("chi must be finite")
     a, g = spec.alpha, spec.gamma
     window = truncation_window(spec)
-    log_coeff = 2.0 * math.log(2.0 * a / g)
+    log_prefactor = _log_prefactor(spec)
 
     def integrand(p):
         u = np.asarray(p, dtype=float) - chi
-        t = np.abs(u) / g
-        with np.errstate(divide="ignore"):
-            log_t = np.log(np.where(t > 0.0, t, 1.0))
-        log_f = np.where(
-            t > 0.0,
-            log_coeff + (2.0 * a - 2.0) * log_t + log_density(spec, u),
-            -np.inf,
-        )
-        return np.where(np.isfinite(log_f), np.exp(np.maximum(log_f, -745.0)), 0.0)
+        dens = np.exp(log_prefactor - 2.0 * _scaled_power(u, g, a))
+        return (2.0 * a / g) ** 2 * _scaled_power(u, g, 2 * a - 2) * dens
 
     return integrate(integrand, chi - window, chi + window, rel_tol, initial_panels=32)
 
@@ -217,6 +211,20 @@ class RepetitionsEstimate:
         return self.quadrature is None
 
 
+def _repetitions_closed(alpha: int) -> float:
+    """The closed form 2 G(2 - 3/alpha) G(1/alpha) / G(1 - 1/alpha)^2 - 2, for
+    an already validated alpha; a few log-gamma calls, no quadrature."""
+    return (
+        2.0
+        * math.exp(
+            log_gamma(2.0 - 3.0 / alpha)
+            + log_gamma(1.0 / alpha)
+            - 2.0 * log_gamma(1.0 - 1.0 / alpha)
+        )
+        - 2.0
+    )
+
+
 def _repetitions_integral(alpha: int, rel_tol: float) -> float:
     """Quadrature of the repetitions integrand with analytic dP/dp, d2P/dp2.
 
@@ -226,16 +234,14 @@ def _repetitions_integral(alpha: int, rel_tol: float) -> float:
     integrand limit there is 0.
     """
     spec = ProbeSpec(alpha, 1.0)  # the result is width-independent
-    a, g = alpha, spec.gamma
     window = truncation_window(spec)
+    log_prefactor = _log_prefactor(spec)
 
     def integrand(p):
-        p = np.asarray(p, dtype=float)
-        t = np.abs(p) / g
-        dens = np.exp(log_density(spec, p))
-        l1 = -2.0 * a * t ** (a - 1.0) * np.sign(p) / g
-        l2 = -2.0 * a * (a - 1.0) * t ** (a - 2.0) / (g * g)
-        return dens * ((l2 + l1 * l1) ** 2 - l1**4 / 3.0)
+        dens = np.exp(log_prefactor - 2.0 * _scaled_power(p, 1.0, alpha))
+        l1_squared = 4.0 * alpha * alpha * _scaled_power(p, 1.0, 2 * alpha - 2)
+        l2 = -2.0 * alpha * (alpha - 1.0) * _scaled_power(p, 1.0, alpha - 2)
+        return dens * ((l2 + l1_squared) ** 2 - l1_squared**2 / 3.0)
 
     return integrate(integrand, -window, window, rel_tol, initial_panels=32)
 
@@ -251,15 +257,7 @@ def repetitions_required(alpha: int, rel_tol: float = 1e-8) -> RepetitionsEstima
     the floor at any N).
     """
     alpha = validate_alpha(alpha)
-    closed = (
-        2.0
-        * math.exp(
-            log_gamma(2.0 - 3.0 / alpha)
-            + log_gamma(1.0 / alpha)
-            - 2.0 * log_gamma(1.0 - 1.0 / alpha)
-        )
-        - 2.0
-    )
+    closed = _repetitions_closed(alpha)
     if alpha == 2:
         quad = None
     else:
@@ -375,6 +373,6 @@ def bound_report(alpha: int, energy: float, n: int) -> BoundReport:
         energy_bound=energy_bound(alpha, energy, n),
         approx_bound=energy_bound_approx(alpha, energy, n),
         error_prop_bound=error_propagation_bound(energy, n),
-        n_required=repetitions_required(alpha).closed_form,
+        n_required=_repetitions_closed(alpha),
         uncertainty_product=uncertainty_product(spec),
     )

@@ -175,14 +175,16 @@ _W_GAUSS[1:14:2] = np.concatenate(
 _EVALS_PER_PANEL = 15
 
 
-def _panel(f, lo: float, hi: float):
-    """Kronrod estimate and |Kronrod - Gauss| error surrogate on one panel."""
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    values = np.asarray(f(center + half * _NODES), dtype=float)
-    kronrod = half * float(values @ _W_KRONROD)
-    gauss = half * float(values @ _W_GAUSS)
-    return kronrod, abs(kronrod - gauss)
+def _panels(f, lows: np.ndarray, highs: np.ndarray):
+    """Kronrod estimates and |Kronrod - Gauss| error surrogates of a batch of
+    panels, from one call of ``f`` on the nodes of all of them."""
+    centers = 0.5 * (lows + highs)
+    halves = 0.5 * (highs - lows)
+    nodes = centers[:, None] + halves[:, None] * _NODES
+    values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    kronrod = halves * (values @ _W_KRONROD)
+    gauss = halves * (values @ _W_GAUSS)
+    return kronrod, np.abs(kronrod - gauss)
 
 
 def integrate(
@@ -197,15 +199,19 @@ def integrate(
 ) -> float:
     """Globally adaptive Gauss-Kronrod quadrature of ``f`` over [lo, hi].
 
-    The integrand must be finite on the interval and accept numpy arrays of
-    evaluation points (all integrands in this package are numpy expressions).
-    Subdivision always splits the panel with the largest error surrogate, and
-    stops once the summed surrogate is below ``max(abs_tol, rel_tol * |I|)``.
+    Each round splits the worst eighth of the panels (at least one), ranked by
+    their |Kronrod - Gauss| error surrogates; subdivision stops once the
+    summed surrogate is below ``max(abs_tol, rel_tol * |I|)``.
+
+    Integrand contract: ``f`` receives one flat 1-D array holding the 15
+    nodes of every panel in a batch (many panels per call) and must return
+    the same-shaped array of values, computed elementwise, so that a value
+    depends only on its own node.  It must be finite on the interval.
 
     Parameters
     ----------
     f : callable
-        Vectorized integrand.
+        Elementwise vectorized integrand.
     lo, hi : float
         Integration limits, ``lo < hi``, both finite.
     rel_tol : float
@@ -228,15 +234,14 @@ def integrate(
         raise DomainError("initial_panels must be at least 1")
 
     edges = np.linspace(lo, hi, initial_panels + 1)
+    lows, highs = edges[:-1], edges[1:]
     heap = []  # (-error, lo, hi, estimate) so the worst panel pops first
     evals = 0
-    for i in range(initial_panels):
-        estimate, error = _panel(f, edges[i], edges[i + 1])
-        evals += _EVALS_PER_PANEL
-        heap.append((-error, float(edges[i]), float(edges[i + 1]), estimate))
-    heapq.heapify(heap)
-
     while True:
+        estimates, errors = _panels(f, lows, highs)
+        evals += lows.size * _EVALS_PER_PANEL
+        for item in zip(*(a.tolist() for a in (-errors, lows, highs, estimates))):
+            heapq.heappush(heap, item)
         # exact compensated totals; cheap relative to the 15-point panels
         total = math.fsum(item[3] for item in heap)
         total_error = math.fsum(-item[0] for item in heap)
@@ -249,18 +254,15 @@ def integrate(
                 best_estimate=total,
                 error_estimate=total_error,
             )
-        # split the worst panels in bulk before re-checking convergence, so
-        # the O(panels) totals above are not recomputed per split
-        splits = max(1, len(heap) // 8)
-        for _ in range(splits):
-            if evals + 2 * _EVALS_PER_PANEL > max_evals:
-                break
-            _, a, b, _ = heapq.heappop(heap)
-            mid = 0.5 * (a + b)
-            for left, right in ((a, mid), (mid, b)):
-                estimate, error = _panel(f, left, right)
-                evals += _EVALS_PER_PANEL
-                heapq.heappush(heap, (-error, left, right, estimate))
+        # split the worst panels in bulk, within the budget, so the O(panels)
+        # totals above are not recomputed per split; all their halves form
+        # the next batch
+        budget = (max_evals - evals) // (2 * _EVALS_PER_PANEL)
+        splits = min(max(1, len(heap) // 8), budget)
+        worst = np.array([heapq.heappop(heap)[1:3] for _ in range(splits)])
+        mids = 0.5 * (worst[:, 0] + worst[:, 1])
+        lows = np.concatenate([worst[:, 0], mids])
+        highs = np.concatenate([mids, worst[:, 1]])
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,9 @@ ALPHA_MAX = 200
 # no adaptive tail hunting.
 TAIL_EXPONENT = 350.0
 
-# Largest argument fed to exp() when forming -2|p/gamma|^alpha; anything
-# beyond it underflows the density to zero anyway.
+# Largest exponent k ln|p/gamma| fed to exp() when forming |p/gamma|^k: the
+# cap keeps the power finite, and at k = alpha the density factor
+# exp(-2|p/gamma|^alpha) has underflowed to zero long before it.
 _EXP_CLIP = 705.0
 
 
@@ -99,18 +100,17 @@ def _log_prefactor(spec: ProbeSpec) -> float:
     )
 
 
-def _scaled_power(spec: ProbeSpec, p) -> np.ndarray:
-    """|p/gamma|^alpha without overflow; +inf where it would exceed range."""
-    t = np.abs(np.asarray(p, dtype=float)) / spec.gamma
+def _scaled_power(p, gamma: float, k: float) -> np.ndarray:
+    """|p/gamma|^k for k > 0, formed as exp(k ln|p/gamma|) with the exponent
+    capped at _EXP_CLIP, so it never overflows; 0 at p = 0."""
+    t = np.abs(np.asarray(p, dtype=float)) / gamma
     with np.errstate(divide="ignore"):
-        exponent = spec.alpha * np.log(np.where(t > 0.0, t, 1.0))
-    exponent = np.where(t > 0.0, exponent, -np.inf)
-    return np.where(exponent > _EXP_CLIP, np.inf, np.exp(np.minimum(exponent, _EXP_CLIP)))
+        return np.exp(np.minimum(k * np.log(t), _EXP_CLIP))
 
 
 def log_density(spec: ProbeSpec, p):
     """Natural log of the momentum density at ``p`` (scalar or array)."""
-    result = _log_prefactor(spec) - 2.0 * _scaled_power(spec, p)
+    result = _log_prefactor(spec) - 2.0 * _scaled_power(p, spec.gamma, spec.alpha)
     return float(result) if np.isscalar(p) else result
 
 
@@ -165,18 +165,6 @@ def gamma_for_energy(alpha: int, energy: float) -> float:
     )
 
 
-def _derivative_factor_squared(spec: ProbeSpec, p: np.ndarray) -> np.ndarray:
-    """(alpha/gamma)^2 |p/gamma|^(2 alpha - 2), the squared log-slope of psi."""
-    a, g = spec.alpha, spec.gamma
-    t = np.abs(np.asarray(p, dtype=float)) / g
-    with np.errstate(divide="ignore"):
-        log_factor = (2.0 * a - 2.0) * np.log(np.where(t > 0.0, t, 1.0))
-    log_factor = np.where(t > 0.0, log_factor, -np.inf)
-    return (a / g) ** 2 * np.where(
-        np.isfinite(log_factor), np.exp(np.minimum(log_factor, _EXP_CLIP)), 0.0
-    )
-
-
 def position_variance(spec: ProbeSpec, rel_tol: float = 1e-8) -> float:
     """Position variance (Dx)^2, by quadrature of the squared derivative of
     the real momentum wavefunction psi(p) = sqrt(P(p)).
@@ -187,10 +175,13 @@ def position_variance(spec: ProbeSpec, rel_tol: float = 1e-8) -> float:
     finite-difference cross-check lives in the tests, not here, because
     differencing cancels catastrophically at large alpha.
     """
+    a, g = spec.alpha, spec.gamma
     window = truncation_window(spec)
+    log_prefactor = _log_prefactor(spec)
 
     def integrand(p):
-        return _derivative_factor_squared(spec, p) * np.exp(log_density(spec, p))
+        dens = np.exp(log_prefactor - 2.0 * _scaled_power(p, g, a))
+        return (a / g) ** 2 * _scaled_power(p, g, 2 * a - 2) * dens
 
     return integrate(integrand, -window, window, rel_tol, initial_panels=32)
 

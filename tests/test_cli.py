@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from qres import cli
+from qres import cli, metrology
 from qres.errors import AccuracyError
 from qres.probe import ProbeSpec, density, gamma_for_energy
 
@@ -90,6 +90,29 @@ class TestSweepCommand:
         assert all(b < a for a, b in zip(bounds, bounds[1:]))
         assert table[20][1] == pytest.approx(0.15, rel=1e-15)
         assert abs(table[20][1] - table[20][0]) / table[20][0] < 0.05
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--alpha-min", "3"), ("--alpha-max", "21"), ("--alpha-min", "0"), ("--alpha-max", "202")],
+    )
+    def test_out_of_domain_alpha_fails_before_any_row(
+        self, flag, value, tmp_path, monkeypatch, capsys
+    ):
+        rows = []
+        monkeypatch.setattr(cli, "normalized_bound", lambda alpha: rows.append(alpha))
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "qres: invalid parameters: alpha must be an even integer in [2, 200], "
+            f"got {value}\n"
+        )
+        assert rows == []
+        assert not out.exists()
+
+    def test_alpha_max_below_alpha_min_is_a_usage_error(self, capsys):
+        assert cli.main(["sweep", "--alpha-min", "10", "--alpha-max", "8"]) == 2
+        assert "--alpha-max must be >= --alpha-min" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -236,6 +259,17 @@ class TestSimulateCommand:
         assert {k: v for k, v in payload.items() if k not in moved} == {
             k: v for k, v in pinned.items() if k not in moved
         }
+
+    def test_n_required_runs_no_repetitions_quadrature(self, monkeypatch, capsys):
+        def no_quadrature(alpha, rel_tol):
+            raise AssertionError("simulate ran the repetitions quadrature")
+
+        monkeypatch.setattr(metrology, "_repetitions_integral", no_quadrature)
+        argv = ["simulate", "--alpha", "4", "--energy", "0.5", "--n", "10", "--seed", "5"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["n_required"] == (
+            self.PINNED[1]["n_required"]
+        )
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         import os

@@ -11,6 +11,7 @@ from math import lgamma
 
 import pytest
 
+from qres import metrology
 from qres.errors import DomainError
 from qres.metrology import (
     bound_report,
@@ -25,7 +26,7 @@ from qres.metrology import (
     scenario_chi_electric,
     scenario_chi_stern_gerlach,
 )
-from qres.probe import ProbeSpec, gamma_for_energy, uncertainty_product
+from qres.probe import ProbeSpec, gamma_for_energy, position_variance, uncertainty_product
 
 
 def _stdlib_energy_bound(alpha, energy, n):
@@ -186,6 +187,47 @@ class TestRepetitionsRequired:
         assert estimate.closed_form == pytest.approx(0.0, abs=1e-10)
 
 
+# Quadrature outputs of the per-panel Gauss-Kronrod loop that preceded the
+# batched one, at gamma_for_energy(alpha, energy):
+# {(alpha, energy): (position_variance, fisher_numeric)} and
+# {alpha: repetitions_required(alpha).quadrature}.
+_PINNED_ROUTES = {
+    (4, 1e-3): (342.709935783348, 1370.8397431333917),
+    (4, 1.0): (0.34270993578334796, 1.3708397431333919),
+    (4, 1e3): (0.00034270993578334764, 0.0013708397431333903),
+    (20, 1e-3): (1607.8551099586298, 6431.420439834519),
+    (20, 1.0): (1.60785510995863, 6.43142043983452),
+    (20, 1e3): (0.0016078551099586293, 0.006431420439834517),
+    (100, 1e-3): (8255.35242795028, 33021.409711801185),
+    (100, 1.0): (8.255352427950323, 33.0214097118013),
+    (100, 1e3): (0.0082553524279503, 0.03302140971180122),
+    (200, 1e-3): (16586.04169116373, 66344.16676465496),
+    (200, 1.0): (16.586041691163842, 66.34416676465534),
+    (200, 1e3): (0.016586041691163844, 0.06634416676465536),
+}
+_PINNED_REPETITIONS = {
+    4: 2.376879230452957,
+    20: 32.610772520047114,
+    100: 192.12959872919023,
+    200: 392.06529481497074,
+}
+
+
+class TestPinnedQuadratures:
+    @pytest.mark.parametrize("alpha, energy", sorted(_PINNED_ROUTES))
+    def test_position_variance_and_fisher_numeric(self, alpha, energy):
+        spec = ProbeSpec(alpha, gamma_for_energy(alpha, energy))
+        variance, fisher = _PINNED_ROUTES[alpha, energy]
+        assert position_variance(spec) == pytest.approx(variance, rel=1e-12)
+        assert fisher_numeric(spec) == pytest.approx(fisher, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", sorted(_PINNED_REPETITIONS))
+    def test_repetitions_quadrature(self, alpha):
+        assert repetitions_required(alpha).quadrature == pytest.approx(
+            _PINNED_REPETITIONS[alpha], rel=1e-12
+        )
+
+
 class TestScenarios:
     def test_electric(self):
         assert scenario_chi_electric(1.0, 1.0, 1.0) == 1.0
@@ -218,6 +260,17 @@ class TestBoundReport:
     def test_efficiency_identity(self):
         report = bound_report(4, 1.0, 1)
         assert report.quantum_fisher == pytest.approx(report.fisher, rel=1e-6)
+
+    def test_reports_the_closed_form_without_the_repetitions_quadrature(
+        self, monkeypatch
+    ):
+        def no_quadrature(alpha, rel_tol):
+            raise AssertionError("bound_report ran the repetitions quadrature")
+
+        monkeypatch.setattr(metrology, "_repetitions_integral", no_quadrature)
+        report = bound_report(20, 1.0 / 3.0, 50)
+        monkeypatch.undo()
+        assert report.n_required == repetitions_required(20).closed_form
 
     def test_to_dict_key_order(self):
         keys = list(bound_report(2, 1.0, 1).to_dict())

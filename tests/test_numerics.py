@@ -76,6 +76,24 @@ class TestIntegrate:
         assert err.best_estimate is not None
         assert err.error_estimate > 0.0
 
+    @pytest.mark.parametrize("initial_panels", [1, 8])
+    @pytest.mark.parametrize("max_evals", [120, 137, 500, 1000, 4321])
+    def test_never_evaluates_beyond_the_budget(self, max_evals, initial_panels):
+        evaluated = []
+
+        def spike(x):
+            evaluated.append(x.size)
+            return np.exp(-((1000.0 * x) ** 2))
+
+        # a tolerance no budget here can meet
+        with pytest.raises(AccuracyError):
+            integrate(
+                spike, -1.0, 1.0, 1e-300, max_evals=max_evals, initial_panels=initial_panels
+            )
+        assert sum(evaluated) <= max_evals
+        # the last round used what it could of the budget
+        assert sum(evaluated) > max_evals - 30
+
     def test_invalid_interval(self):
         with pytest.raises(DomainError):
             integrate(lambda x: x, 1.0, 0.0, 1e-8)

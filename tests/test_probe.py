@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qres import probe
 from qres.errors import DomainError
 from qres.metrology import fisher_closed
 from qres.numerics import integrate
@@ -172,6 +173,26 @@ class TestPositionVariance:
         assert position_variance(spec) == pytest.approx(
             fisher_closed(spec) / 4.0, rel=1e-6
         )
+
+    def test_integrand_is_called_once_per_batch_of_panels(self, monkeypatch):
+        calls = []
+        inner = probe.integrate
+
+        def counting_integrate(f, *args, **kwargs):
+            def counted(x):
+                calls.append(x.size)
+                return f(x)
+
+            return inner(counted, *args, **kwargs)
+
+        monkeypatch.setattr(probe, "integrate", counting_integrate)
+        spec = ProbeSpec(200, 1.0)
+        assert position_variance(spec) == pytest.approx(
+            fisher_closed(spec) / 4.0, rel=1e-6
+        )
+        # one call per subdivision round, not one per 15-node panel
+        assert len(calls) <= 20
+        assert sum(calls) > 20 * 15
 
     def test_analytic_derivative_against_finite_differences(self):
         # (psi')^2 from the analytic log-slope vs a central difference of

@@ -68,6 +68,36 @@ class TestDraw:
             draw(ProbeSpec(2, 1.0), float("inf"), 5, RngStream(0, 0))
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    half_alpha=st.integers(min_value=1, max_value=100),
+    log10_gamma=st.floats(min_value=-30.0, max_value=30.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    stream_index=st.integers(min_value=0, max_value=2**32 - 1),
+    log10_scale=st.floats(min_value=-3.0, max_value=3.0),
+    shift=st.floats(min_value=-10.0, max_value=10.0),
+)
+def test_draw_scales_with_the_width(
+    half_alpha, log10_gamma, seed, stream_index, log10_scale, shift
+):
+    alpha = 2 * half_alpha
+    gamma = 10.0**log10_gamma
+    c = 10.0**log10_scale
+    chi = shift * c * gamma
+    base = draw(ProbeSpec(alpha, gamma), 0.0, 200, RngStream(seed, stream_index))
+    scaled = draw(ProbeSpec(alpha, c * gamma), chi, 200, RngStream(seed, stream_index))
+    expected = chi + c * base.outcomes
+    # a few roundings apart: the width enters the product in another place
+    ulps = 4.0 * np.finfo(float).eps
+    assert np.all(
+        np.abs(scaled.outcomes - expected) <= ulps * (abs(chi) + np.abs(expected))
+    )
+    second_moment = np.mean((scaled.outcomes - chi) ** 2)
+    assert second_moment == pytest.approx(
+        c * c * np.mean(base.outcomes**2), rel=1e-12
+    )
+
+
 class TestMle:
     def test_gaussian_case_is_the_sample_mean(self):
         spec = ProbeSpec(2, 1.0)
