@@ -220,8 +220,8 @@ def integrate(
         Absolute floor for the stopping test; useful for integrals whose
         exact value is zero, where a relative test can never be met.
     max_evals : int
-        Node budget.  Exceeding it raises :class:`AccuracyError` carrying the
-        best estimate.
+        Node budget, at least 15 per initial panel.  Exceeding it raises
+        :class:`AccuracyError` carrying the best estimate.
     initial_panels : int
         Number of equal panels seeding the subdivision, so narrow features
         away from the interval center are not missed by the first rule.
@@ -232,6 +232,11 @@ def integrate(
         raise DomainError("rel_tol must be positive")
     if initial_panels < 1:
         raise DomainError("initial_panels must be at least 1")
+    if max_evals < _EVALS_PER_PANEL * initial_panels:
+        raise DomainError(
+            f"max_evals={max_evals} cannot cover the {initial_panels} initial "
+            f"panels ({_EVALS_PER_PANEL * initial_panels} evaluations)"
+        )
 
     edges = np.linspace(lo, hi, initial_panels + 1)
     lows, highs = edges[:-1], edges[1:]
@@ -270,6 +275,27 @@ def integrate(
 # ---------------------------------------------------------------------------
 
 
+def _squeeze_round(d: float, c: float, stream: RngStream, m: int):
+    """One round of ``m`` Marsaglia-Tsang proposals d v: the values and which
+    of them are accepted."""
+    x = _normals(stream, m)
+    v = (1.0 + c * x) ** 3
+    u = stream.uniforms(m)
+    # x2 * x2, not x**4: pow on negative normals is tens of times slower, and
+    # the squeeze lies well inside the exact region, so a last-bit change in
+    # it cannot change which proposals are accepted
+    x2 = x * x
+    positive = v > 0.0
+    accept = positive & (u < 1.0 - 0.0331 * (x2 * x2))
+    # the exact log test runs only on the few proposals the squeeze rejects
+    test = np.flatnonzero(positive & ~accept)
+    with np.errstate(divide="ignore"):  # log 0 = -inf accepts, as it should
+        accept[test] = np.log(u[test]) < 0.5 * x2[test] + d * (
+            1.0 - v[test] + np.log(v[test])
+        )
+    return d * v, accept
+
+
 def sample_gamma(shape: float, stream: RngStream, size: int | None = None):
     """Exact draws from Gamma(shape, unit scale).
 
@@ -294,21 +320,12 @@ def sample_gamma(shape: float, stream: RngStream, size: int | None = None):
     d = a - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
 
-    out = np.empty(n)
-    pending = np.arange(n)
+    # the first round fills every slot; later rounds redraw only the rejected
+    out, accept = _squeeze_round(d, c, stream, n)
+    pending = np.flatnonzero(~accept)
     while pending.size:
-        m = pending.size
-        x = _normals(stream, m)
-        v = (1.0 + c * x) ** 3
-        u = stream.uniforms(m)
-        positive = v > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quick = positive & (u < 1.0 - 0.0331 * x**4)
-            log_u = np.where(u > 0.0, np.log(np.where(u > 0.0, u, 1.0)), -np.inf)
-            log_v = np.where(positive, np.log(np.where(positive, v, 1.0)), 0.0)
-            slow = positive & (log_u < 0.5 * x * x + d * (1.0 - v + log_v))
-        accept = quick | slow
-        out[pending[accept]] = d * v[accept]
+        values, accept = _squeeze_round(d, c, stream, pending.size)
+        out[pending[accept]] = values[accept]
         pending = pending[~accept]
 
     if boosted:

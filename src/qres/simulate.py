@@ -51,10 +51,11 @@ _MLE_TOL_FACTOR = 1e-10
 # converge in a few dozen steps; the cap only bounds the loop.
 _MLE_MAX_STEPS = 200
 
-# Grid points x samples per block of the likelihood sum: the working block is
-# 512 kB whatever the sample count, so posterior memory is O(grid), not
-# O(grid x N).
-_LIKELIHOOD_BLOCK_CELLS = 2**16
+# Grid points x samples per block of the likelihood sum.  The two block
+# buffers, 256 kB each whatever the sample count, are allocated once per
+# call, so posterior memory is O(grid), not O(grid x N), and the passes over
+# a block stay in a core's cache.
+_LIKELIHOOD_BLOCK_CELLS = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,8 +113,11 @@ def draw(spec: ProbeSpec, chi: float, n: int, stream: RngStream) -> SampleSet:
         raise DomainError("chi must be finite")
     alpha = spec.alpha
     g = sample_gamma(1.0 / alpha, stream, size=int(n))
-    signs = np.where(stream.uniforms(int(n)) < 0.5, -1.0, 1.0)
-    outcomes = chi + signs * spec.gamma * 2.0 ** (-1.0 / alpha) * g ** (1.0 / alpha)
+    # one signed scalar width per draw: negation is exact, so this is
+    # bit-identical to scaling +-1 by gamma and then by 2^(-1/alpha)
+    width = spec.gamma * 2.0 ** (-1.0 / alpha)
+    signed = np.where(stream.uniforms(int(n)) < 0.5, -width, width)
+    outcomes = chi + signed * g ** (1.0 / alpha)
     return SampleSet(
         spec=spec,
         chi_true=chi,
@@ -147,19 +151,49 @@ def draw_uniform(spec: ProbeSpec, chi: float, n: int, stream: RngStream) -> Samp
     )
 
 
+def _power_in_place(base: np.ndarray, k: int, spare: np.ndarray) -> None:
+    """Raise ``base`` to the integer power k >= 1 in place by binary powering:
+    log2(k) squarings and a multiply per further set bit.  ``spare``, of the
+    same shape, is overwritten."""
+    while not k & 1:
+        base *= base
+        k >>= 1
+    k >>= 1
+    if not k:
+        return
+    # base holds the product so far; the repeated squares build in spare
+    np.multiply(base, base, out=spare)
+    while True:
+        if k & 1:
+            base *= spare
+        k >>= 1
+        if not k:
+            return
+        spare *= spare
+
+
 def _log_likelihood(samples: SampleSet, grid: np.ndarray) -> np.ndarray:
     """Unnormalized log-likelihood of the signal on a grid of candidates,
-    -2 sum_j |(p_j - x) / gamma|^alpha, summed over blocks of samples."""
-    spec = samples.spec
+    -2 sum_j |(p_j - x) / gamma|^alpha, summed over blocks of samples.
+
+    Alpha is even, so each cell is the squared scaled residual raised to
+    alpha/2 by binary powering.  Residuals are scaled after the subtraction:
+    dividing outcomes and grid by gamma first would lose digits wherever
+    p_j - x is small against p_j."""
     outcomes = samples.outcomes
-    block_size = max(1, _LIKELIHOOD_BLOCK_CELLS // grid.size)
+    inverse_gamma = 1.0 / samples.spec.gamma
+    half_alpha = samples.spec.alpha // 2
+    rows = max(1, _LIKELIHOOD_BLOCK_CELLS // grid.size)
+    base, spare = np.empty((2, min(rows, outcomes.size), grid.size))
     total = np.zeros(grid.size)
-    for start in range(0, outcomes.size, block_size):
-        residuals = np.subtract.outer(outcomes[start : start + block_size], grid)
-        np.abs(residuals, out=residuals)
-        residuals /= spec.gamma
-        np.power(residuals, spec.alpha, out=residuals)
-        total += residuals.sum(axis=0)
+    for start in range(0, outcomes.size, rows):
+        block = outcomes[start : start + rows]
+        cells = base[: block.size]
+        np.subtract.outer(block, grid, out=cells)
+        cells *= inverse_gamma
+        cells *= cells
+        _power_in_place(cells, half_alpha, spare[: block.size])
+        total += cells.sum(axis=0)
     return -2.0 * total
 
 

@@ -5,6 +5,7 @@ quadrature, and distribution moments plus a Kolmogorov-Smirnov check (scipy)
 for the gamma sampler.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -94,6 +95,20 @@ class TestIntegrate:
         # the last round used what it could of the budget
         assert sum(evaluated) > max_evals - 30
 
+    @pytest.mark.parametrize("max_evals,initial_panels", [(10, 8), (119, 8), (14, 1)])
+    def test_budget_below_the_initial_panels_is_rejected(self, max_evals, initial_panels):
+        evaluated = []
+
+        def square(x):
+            evaluated.append(x.size)
+            return x**2
+
+        with pytest.raises(DomainError):
+            integrate(
+                square, 0.0, 1.0, 1e-12, max_evals=max_evals, initial_panels=initial_panels
+            )
+        assert evaluated == []
+
     def test_invalid_interval(self):
         with pytest.raises(DomainError):
             integrate(lambda x: x, 1.0, 0.0, 1e-8)
@@ -124,7 +139,29 @@ class TestRngStream:
             RngStream(seed, index)
 
 
+# SHA-256 of the little-endian float64 bytes of
+# sample_gamma(shape, RngStream(2718, j), size=60_000) for j = 0, 1, 2 in
+# turn, recorded from the sampler whose squeeze test called pow on every
+# proposal.  The bytes also depend on numpy's log, cos and pow, so a numpy
+# build with other transcendental kernels may need them recorded again.
+_SAMPLE_GAMMA_SHA256 = [
+    (1 / 200, "9fdf09853fc3c0719952e2b11090f7051e80902b797046f58f71340a42bd3298"),
+    (1 / 20, "3e5f406e52f313cd362275be2cbbf57b77da727d51e27479d7f7c97c83ec9937"),
+    (1 / 2, "1721b1194d56f67e048b566cca73dda217ca82ade3cec4af267288c780755f0d"),
+    (1.0, "2c0e70a2b3cf265e72c75c59e78376719dc9f9676b478667d6cd548c65415cd4"),
+    (2.5, "994d025ac969ee82e2818700a48b156403fe14931d04592d8a88264554d15079"),
+]
+
+
 class TestSampleGamma:
+    @pytest.mark.parametrize("shape,digest", _SAMPLE_GAMMA_SHA256)
+    def test_bytes_match_the_pinned_digests(self, shape, digest):
+        h = hashlib.sha256()
+        for j in range(3):
+            draws = sample_gamma(shape, RngStream(2718, j), size=60_000)
+            h.update(np.ascontiguousarray(draws, dtype="<f8").tobytes())
+        assert h.hexdigest() == digest
+
     def test_exponential_mean(self):
         draws = sample_gamma(1.0, RngStream(42, 0), size=10**6)
         assert draws.mean() == pytest.approx(1.0, abs=5e-3)

@@ -7,6 +7,7 @@ rewrite, and the closed-form bounds for trial aggregates.
 """
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -20,7 +21,16 @@ from qres.errors import DomainError, ResolutionError
 from qres.metrology import crb, fisher_closed
 from qres.numerics import RngStream
 from qres.probe import ProbeSpec, gamma_for_energy
-from qres.simulate import SampleSet, draw, draw_uniform, mle, posterior, run_trials
+from qres.simulate import (
+    _LIKELIHOOD_BLOCK_CELLS,
+    SampleSet,
+    _log_likelihood,
+    draw,
+    draw_uniform,
+    mle,
+    posterior,
+    run_trials,
+)
 
 
 def _grid_moment(grid, order):
@@ -30,7 +40,27 @@ def _grid_moment(grid, order):
     return dx * (values.sum() - 0.5 * (values[0] + values[-1]))
 
 
+# SHA-256 of the little-endian float64 bytes of
+# draw(ProbeSpec(alpha, 1.7), -0.3, 40_000, RngStream(2718, j)).outcomes for
+# j = 0, 1, 2 in turn, recorded before the sampler and the scaling in draw
+# were rewritten.  Like the sample_gamma digests, they depend on numpy's
+# transcendental kernels.
+_DRAW_SHA256 = [
+    (2, "8904663a2f3430f169457717f88e8860903d07c1dda2bec0b6d311f386949da3"),
+    (20, "cad5c17fe6dd64b4615a3a189fac7f9249e18ae57587541e1036f63df613fc40"),
+    (200, "7677213b22fe0cbc3da63d6f79ce59cad5a188d9986b864d480c8413380f0fd9"),
+]
+
+
 class TestDraw:
+    @pytest.mark.parametrize("alpha,digest", _DRAW_SHA256)
+    def test_bytes_match_the_pinned_digests(self, alpha, digest):
+        h = hashlib.sha256()
+        for j in range(3):
+            samples = draw(ProbeSpec(alpha, 1.7), -0.3, 40_000, RngStream(2718, j))
+            h.update(np.ascontiguousarray(samples.outcomes, dtype="<f8").tobytes())
+        assert h.hexdigest() == digest
+
     def test_gaussian_variance(self):
         samples = draw(ProbeSpec(2, 1.0), 0.0, 10**6, RngStream(11, 0))
         assert samples.outcomes.var() == pytest.approx(0.25, abs=2e-3)
@@ -194,6 +224,23 @@ def test_estimators_are_scale_and_translation_equivariant(
     rtol = _EQUIVARIANCE_RTOL
     assert grids[1].variance == pytest.approx(c * c * grids[0].variance, rel=rtol)
     assert grids[2].variance == pytest.approx(grids[0].variance, rel=rtol)
+
+
+@pytest.mark.parametrize("chi", [0.3, 25.0])
+@pytest.mark.parametrize("alpha", [2, 4, 20, 100, 200])
+def test_log_likelihood_matches_the_direct_sum(alpha, chi):
+    spec = ProbeSpec(alpha, gamma_for_energy(alpha, 1.0 / 3.0))
+    grid = np.linspace(chi - 1.5 * spec.gamma, chi + 1.5 * spec.gamma, 2001)
+    rows = _LIKELIHOOD_BLOCK_CELLS // grid.size
+    # one sample, and partial, whole and just-over blocks
+    for n in (1, rows - 1, rows, rows + 1):
+        samples = draw(spec, chi, n, RngStream(8, n))
+        residuals = np.subtract.outer(samples.outcomes, grid) / spec.gamma
+        direct = -2.0 * np.sum(np.abs(residuals) ** alpha, axis=0)
+        # sums below the normal range carry no relative precision either way
+        np.testing.assert_allclose(
+            _log_likelihood(samples, grid), direct, rtol=1e-12, atol=np.finfo(float).tiny
+        )
 
 
 class TestPosterior:
