@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import require_finite, require_int, require_positive
 from .numerics import integrate, log_gamma
 from .probe import (
     ProbeSpec,
@@ -57,19 +57,6 @@ __all__ = [
     "scenario_chi_electric",
     "scenario_chi_stern_gerlach",
 ]
-
-
-def _validate_energy(energy: float) -> float:
-    energy = float(energy)
-    if not math.isfinite(energy) or energy <= 0.0:
-        raise DomainError(f"energy must be positive and finite, got {energy!r}")
-    return energy
-
-
-def _validate_repetitions(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"repetitions must be a positive integer, got {n!r}")
-    return int(n)
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +89,7 @@ def fisher_numeric(spec: ProbeSpec, chi: float = 0.0, rel_tol: float = 1e-8) -> 
     u = (p - chi)/gamma, so the integrand is the squared score times the
     density, with every power of |u| formed in the log domain.
     """
-    chi = float(chi)
-    if not math.isfinite(chi):
-        raise DomainError("chi must be finite")
+    chi = require_finite("chi", chi)
     a, g = spec.alpha, spec.gamma
     window = truncation_window(spec)
     log_prefactor = _log_prefactor(spec)
@@ -119,10 +104,7 @@ def fisher_numeric(spec: ProbeSpec, chi: float = 0.0, rel_tol: float = 1e-8) -> 
 
 def crb(fisher: float, n: int) -> float:
     """Cramer-Rao variance floor 1/(n * fisher) for n repetitions."""
-    fisher = float(fisher)
-    if not math.isfinite(fisher) or fisher <= 0.0:
-        raise DomainError(f"fisher must be positive and finite, got {fisher!r}")
-    return 1.0 / (_validate_repetitions(n) * fisher)
+    return 1.0 / (require_int("n", n, 1) * require_positive("fisher", fisher))
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +142,15 @@ def energy_bound(alpha: int, energy: float, n: int) -> float:
     gives better resolution, and at alpha = 2 it reduces exactly to
     energy / n.
     """
-    energy = _validate_energy(energy)
-    n = _validate_repetitions(n)
+    energy = require_positive("energy", energy)
+    n = require_int("n", n, 1)
     return (energy / n) * normalized_bound(alpha)
 
 
 def energy_bound_approx(alpha: int, energy: float, n: int) -> float:
     """Large-alpha approximation of :func:`energy_bound`: 3 energy/(n alpha)."""
     alpha = validate_alpha(alpha)
-    return 3.0 * _validate_energy(energy) / (_validate_repetitions(n) * alpha)
+    return 3.0 * require_positive("energy", energy) / (require_int("n", n, 1) * alpha)
 
 
 def error_propagation_bound(energy: float, n: int) -> float:
@@ -179,7 +161,7 @@ def error_propagation_bound(energy: float, n: int) -> float:
     is efficient for a Gaussian) and exceeds it for larger alpha, where the
     sample mean is no longer an efficient estimator.
     """
-    return _validate_energy(energy) / _validate_repetitions(n)
+    return require_positive("energy", energy) / require_int("n", n, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +256,6 @@ def repetitions_required(alpha: int, rel_tol: float = 1e-8) -> RepetitionsEstima
 # ---------------------------------------------------------------------------
 
 
-def _validate_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 def scenario_chi_electric(q: float, field: float, tau: float) -> float:
     """Momentum shift from an impulsive electric dipole kick: chi = q E tau.
 
@@ -288,18 +263,18 @@ def scenario_chi_electric(q: float, field: float, tau: float) -> float:
     are already in the scheme's dimensionless units.
     """
     return (
-        _validate_finite("q", q)
-        * _validate_finite("field", field)
-        * _validate_finite("tau", tau)
+        require_finite("q", q)
+        * require_finite("field", field)
+        * require_finite("tau", tau)
     )
 
 
 def scenario_chi_stern_gerlach(mu_z: float, gradient: float, tau: float) -> float:
     """Momentum shift from a Stern-Gerlach gradient: chi = mu_z B0 tau."""
     return (
-        _validate_finite("mu_z", mu_z)
-        * _validate_finite("gradient", gradient)
-        * _validate_finite("tau", tau)
+        require_finite("mu_z", mu_z)
+        * require_finite("gradient", gradient)
+        * require_finite("tau", tau)
     )
 
 
@@ -358,8 +333,8 @@ def bound_report(alpha: int, energy: float, n: int) -> BoundReport:
     exercises the measurement-efficiency identity.
     """
     alpha = validate_alpha(alpha)
-    energy = _validate_energy(energy)
-    n = _validate_repetitions(n)
+    energy = require_positive("energy", energy)
+    n = require_int("n", n, 1)
     spec = ProbeSpec(alpha, gamma_for_energy(alpha, energy))
     fisher = fisher_closed(spec)
     return BoundReport(

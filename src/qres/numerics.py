@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .errors import AccuracyError, DomainError
+from .errors import require_finite, require_int, require_positive
 
 __all__ = [
     "RngStream",
@@ -49,9 +50,7 @@ class RngStream:
 
     def __init__(self, seed: int, stream_index: int = 0):
         for name, value in (("seed", seed), ("stream_index", stream_index)):
-            if not isinstance(value, (int, np.integer)):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            if not 0 <= value < _UINT64_MAX:
+            if require_int(name, value, 0) >= _UINT64_MAX:
                 raise DomainError(f"{name} must fit in an unsigned 64-bit integer")
         self._seed = int(seed)
         self._stream_index = int(stream_index)
@@ -113,9 +112,7 @@ def log_gamma(x: float) -> float:
     the Lanczos series in its sweet spot and makes the recurrence identity
     hold to round-off for small x.
     """
-    x = float(x)
-    if math.isnan(x) or math.isinf(x) or x <= 0.0:
-        raise DomainError(f"log_gamma requires a positive finite argument, got {x!r}")
+    x = require_positive("x", x)
     if x < 0.5:
         return log_gamma(x + 1.0) - math.log(x)
     z = x - 1.0
@@ -226,17 +223,15 @@ def integrate(
         Number of equal panels seeding the subdivision, so narrow features
         away from the interval center are not missed by the first rule.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
+    lo, hi = require_finite("lo", lo), require_finite("hi", hi)
+    if not lo < hi:
         raise DomainError(f"invalid integration interval [{lo}, {hi}]")
-    if rel_tol <= 0.0:
-        raise DomainError("rel_tol must be positive")
-    if initial_panels < 1:
-        raise DomainError("initial_panels must be at least 1")
-    if max_evals < _EVALS_PER_PANEL * initial_panels:
-        raise DomainError(
-            f"max_evals={max_evals} cannot cover the {initial_panels} initial "
-            f"panels ({_EVALS_PER_PANEL * initial_panels} evaluations)"
-        )
+    rel_tol = require_positive("rel_tol", rel_tol)
+    abs_tol = require_finite("abs_tol", abs_tol)
+    if abs_tol < 0.0:
+        raise DomainError(f"abs_tol must be nonnegative, got {abs_tol!r}")
+    initial_panels = require_int("initial_panels", initial_panels, 1)
+    max_evals = require_int("max_evals", max_evals, _EVALS_PER_PANEL * initial_panels)
 
     edges = np.linspace(lo, hi, initial_panels + 1)
     lows, highs = edges[:-1], edges[1:]
@@ -307,13 +302,9 @@ def sample_gamma(shape: float, stream: RngStream, size: int | None = None):
     Returns a float for ``size=None``, otherwise an ndarray of ``size`` draws
     consumed from ``stream`` as one deterministic batch.
     """
-    shape = float(shape)
-    if not math.isfinite(shape) or shape <= 0.0:
-        raise DomainError(f"gamma shape must be positive and finite, got {shape!r}")
+    shape = require_positive("shape", shape)
     scalar = size is None
-    n = 1 if scalar else int(size)
-    if n < 0:
-        raise DomainError("size must be nonnegative")
+    n = 1 if scalar else require_int("size", size, 0)
 
     boosted = shape < 1.0
     a = shape + 1.0 if boosted else shape

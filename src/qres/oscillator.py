@@ -19,13 +19,11 @@ the signal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DomainError, UnboundedInformationError
+from .errors import require_finite, require_int, require_positive
 
 __all__ = [
     "CHI_MAX",
@@ -62,14 +60,10 @@ class HOBoundInput:
 
     def __post_init__(self):
         for name in ("omega", "energy"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value <= 0.0:
-                raise DomainError(f"{name} must be positive and finite")
-            object.__setattr__(self, name, value)
-        n = self.repetitions
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise DomainError(f"repetitions must be a positive integer, got {n!r}")
-        object.__setattr__(self, "repetitions", int(n))
+            object.__setattr__(self, name, require_positive(name, getattr(self, name)))
+        object.__setattr__(
+            self, "repetitions", require_int("repetitions", self.repetitions, 1)
+        )
 
     @property
     def large_dx_regime(self) -> bool:
@@ -111,12 +105,9 @@ class NumberShiftModel:
     chi: float
 
     def __post_init__(self):
-        n = self.n_level
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-            raise DomainError(f"n_level must be a nonnegative integer, got {n!r}")
-        object.__setattr__(self, "n_level", int(n))
-        chi = float(self.chi)
-        if not math.isfinite(chi) or chi < 0.0:
+        object.__setattr__(self, "n_level", require_int("n_level", self.n_level, 0))
+        chi = require_finite("chi", self.chi)
+        if chi < 0.0:
             raise DomainError(f"chi must be a nonnegative real, got {self.chi!r}")
         if chi > CHI_MAX:
             raise DomainError(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_int, require_positive
 from .numerics import integrate, log_gamma
 
 __all__ = [
@@ -57,9 +57,7 @@ _EXP_CLIP = 705.0
 
 def validate_alpha(alpha: int) -> int:
     """Check the shape exponent: an even integer in [2, ALPHA_MAX]."""
-    if not isinstance(alpha, (int, np.integer)) or isinstance(alpha, bool):
-        raise DomainError(f"alpha must be an integer, got {alpha!r}")
-    alpha = int(alpha)
+    alpha = require_int("alpha", alpha)
     if alpha < 2 or alpha > ALPHA_MAX or alpha % 2 != 0:
         raise DomainError(
             f"alpha must be an even integer in [2, {ALPHA_MAX}], got {alpha}"
@@ -80,10 +78,7 @@ class ProbeSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", validate_alpha(self.alpha))
-        gamma = float(self.gamma)
-        if not math.isfinite(gamma) or gamma <= 0.0:
-            raise DomainError(f"gamma must be positive and finite, got {self.gamma!r}")
-        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "gamma", require_positive("gamma", self.gamma))
 
 
 def truncation_window(spec: ProbeSpec) -> float:
@@ -127,9 +122,7 @@ def absolute_moment(spec: ProbeSpec, k: int) -> float:
         E|p|^k = gamma^k * 2^(-k/alpha) * G((k+1)/alpha) / G(1/alpha),
     which the tests cross-check against quadrature of p^k P(p).
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
-        raise DomainError(f"moment order must be a nonnegative integer, got {k!r}")
-    if k == 0:
+    if require_int("k", k, 0) == 0:
         return 1.0
     a = spec.alpha
     return math.exp(
@@ -152,9 +145,7 @@ def gamma_for_energy(alpha: int, energy: float) -> float:
         gamma = sqrt(energy * 2^(2/alpha) * G(1/alpha) / G(3/alpha)).
     """
     alpha = validate_alpha(alpha)
-    energy = float(energy)
-    if not math.isfinite(energy) or energy <= 0.0:
-        raise DomainError(f"energy must be positive and finite, got {energy!r}")
+    energy = require_positive("energy", energy)
     return math.sqrt(
         energy
         * math.exp(

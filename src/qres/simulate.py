@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResolutionError
+from .errors import require_finite, require_int, require_positive
 from .metrology import energy_bound, fisher_closed
 from .numerics import RngStream, sample_gamma
 from .probe import ProbeSpec, gamma_for_energy, mean_energy, validate_alpha
@@ -106,17 +107,14 @@ def draw(spec: ProbeSpec, chi: float, n: int, stream: RngStream) -> SampleSet:
     The stream is consumed; to regenerate the same set, pass a fresh stream
     with the same (seed, stream_index).
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"sample count must be a positive integer, got {n!r}")
-    chi = float(chi)
-    if not math.isfinite(chi):
-        raise DomainError("chi must be finite")
+    n = require_int("n", n, 1)
+    chi = require_finite("chi", chi)
     alpha = spec.alpha
-    g = sample_gamma(1.0 / alpha, stream, size=int(n))
+    g = sample_gamma(1.0 / alpha, stream, size=n)
     # one signed scalar width per draw: negation is exact, so this is
     # bit-identical to scaling +-1 by gamma and then by 2^(-1/alpha)
     width = spec.gamma * 2.0 ** (-1.0 / alpha)
-    signed = np.where(stream.uniforms(int(n)) < 0.5, -width, width)
+    signed = np.where(stream.uniforms(n) < 0.5, -width, width)
     outcomes = chi + signed * g ** (1.0 / alpha)
     return SampleSet(
         spec=spec,
@@ -135,13 +133,10 @@ def draw_uniform(spec: ProbeSpec, chi: float, n: int, stream: RngStream) -> Samp
     shortcut is a useful cross-check of exact sampling; it is not exact and
     :func:`draw` is the default everywhere.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"sample count must be a positive integer, got {n!r}")
-    chi = float(chi)
-    if not math.isfinite(chi):
-        raise DomainError("chi must be finite")
+    n = require_int("n", n, 1)
+    chi = require_finite("chi", chi)
     half = math.sqrt(3.0 * mean_energy(spec))
-    outcomes = chi + half * (2.0 * stream.uniforms(int(n)) - 1.0)
+    outcomes = chi + half * (2.0 * stream.uniforms(n) - 1.0)
     return SampleSet(
         spec=spec,
         chi_true=chi,
@@ -264,27 +259,13 @@ def posterior(
     single cell, in which case more grid points (or a narrower window) are
     needed.
     """
-    if (
-        not isinstance(grid_points, (int, np.integer))
-        or isinstance(grid_points, bool)
-        or grid_points < 101
-        or grid_points % 2 == 0
-    ):
-        raise DomainError(
-            f"grid_points must be an odd integer >= 101, got {grid_points!r}"
-        )
-    spec = samples.spec
-    if center is None:
-        center = mle(samples)
-    elif not math.isfinite(center):
-        raise DomainError("center must be finite")
+    if require_int("grid_points", grid_points, 101) % 2 == 0:
+        raise DomainError(f"grid_points must be odd, got {grid_points!r}")
+    center = mle(samples) if center is None else require_finite("center", center)
     if half_width is None:
-        fisher = fisher_closed(spec)
-        half_width = _GRID_SIGMAS / math.sqrt(samples.n * fisher)
+        half_width = _GRID_SIGMAS / math.sqrt(samples.n * fisher_closed(samples.spec))
     else:
-        half_width = float(half_width)
-        if not math.isfinite(half_width) or half_width <= 0.0:
-            raise DomainError("half_width must be positive and finite")
+        half_width = require_positive("half_width", half_width)
 
     grid = np.linspace(center - half_width, center + half_width, int(grid_points))
     dx = grid[1] - grid[0]
@@ -366,9 +347,7 @@ def run_trials(
     from the square-profile stand-in instead of the exact density.
     """
     alpha = validate_alpha(alpha)
-    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 1:
-        raise DomainError(f"trials must be a positive integer, got {trials!r}")
-    trials = int(trials)
+    trials = require_int("trials", trials, 1)
     spec = ProbeSpec(alpha, gamma_for_energy(alpha, energy))
     sampler = draw_uniform if uniform_sampling else draw
 

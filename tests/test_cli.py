@@ -93,7 +93,13 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--alpha-min", "3"), ("--alpha-max", "21"), ("--alpha-min", "0"), ("--alpha-max", "202")],
+        [
+            ("--alpha-min", "3"),
+            ("--alpha-max", "21"),
+            ("--alpha-min", "0"),
+            ("--alpha-max", "202"),
+            ("--alpha-min", "-2"),
+        ],
     )
     def test_out_of_domain_alpha_fails_before_any_row(
         self, flag, value, tmp_path, monkeypatch, capsys
