@@ -16,10 +16,11 @@ collects everything one asks about that scheme:
 * unit-agnostic conversions from physical couplings (electric dipole kick,
   Stern-Gerlach gradient) to the dimensionless shift.
 
-All gamma-function expressions are evaluated through log-gamma differences,
-since G(1/alpha) grows like alpha.  Where an identity is exact at alpha = 2
-(the Gaussian probe) the code returns the exact value rather than the
-round-tripped one.
+Every closed form is one expression over the probe family's unit-width
+absolute moments m_k (``probe._log_moment``), summed in the log domain and
+exponentiated once, so a value that overflows a float raises
+:class:`DomainError`.  Where an identity is exact at alpha = 2 (the Gaussian
+probe) the result is the exact value rather than the round-tripped one.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import require_finite, require_int, require_positive
-from .numerics import integrate, log_gamma
+from .numerics import integrate
 from .probe import (
     ProbeSpec,
+    _exp,
+    _log_moment,
     _log_prefactor,
     _scaled_power,
     gamma_for_energy,
@@ -65,18 +68,15 @@ __all__ = [
 
 
 def fisher_closed(spec: ProbeSpec) -> float:
-    """Fisher information of the shift family, closed form:
+    """Fisher information of the shift family, closed form: the mean of the
+    squared score (2 alpha/gamma)^2 |p/gamma|^(2 alpha - 2), that is
 
-        F = alpha^2 * 2^(2/alpha) * G(2 - 1/alpha) / (gamma^2 * G(1/alpha)).
+        F = (2 alpha/gamma)^2 m_(2 alpha - 2)
+          = alpha^2 * 2^(2/alpha) * G(2 - 1/alpha) / (gamma^2 * G(1/alpha)).
     """
-    a, g = spec.alpha, spec.gamma
-    return math.exp(
-        2.0 * math.log(a)
-        + (2.0 / a) * math.log(2.0)
-        + log_gamma(2.0 - 1.0 / a)
-        - 2.0 * math.log(g)
-        - log_gamma(1.0 / a)
-    )
+    a = spec.alpha
+    log_score_scale = math.log(2.0 * a) - math.log(spec.gamma)
+    return _exp(2.0 * log_score_scale + _log_moment(a, 2 * a - 2))
 
 
 def fisher_numeric(spec: ProbeSpec, chi: float = 0.0, rel_tol: float = 1e-8) -> float:
@@ -116,20 +116,13 @@ def normalized_bound(alpha: int) -> float:
     """The energy-normalized bound n * energy_bound / energy, a function of
     alpha alone:
 
-        G(1/alpha)^2 / (alpha^2 * G(2 - 1/alpha) * G(3/alpha)).
+        1 / uncertainty_product
+          = G(1/alpha)^2 / (alpha^2 * G(2 - 1/alpha) * G(3/alpha)).
 
     Equals 1 exactly at alpha = 2 and decreases as the probe approaches a
-    square momentum profile; it is also 1 / uncertainty_product.
+    square momentum profile.
     """
-    alpha = validate_alpha(alpha)
-    if alpha == 2:
-        return 1.0
-    return math.exp(
-        2.0 * log_gamma(1.0 / alpha)
-        - 2.0 * math.log(alpha)
-        - log_gamma(2.0 - 1.0 / alpha)
-        - log_gamma(3.0 / alpha)
-    )
+    return 1.0 / uncertainty_product(ProbeSpec(alpha, 1.0))
 
 
 def energy_bound(alpha: int, energy: float, n: int) -> float:
@@ -194,17 +187,11 @@ class RepetitionsEstimate:
 
 
 def _repetitions_closed(alpha: int) -> float:
-    """The closed form 2 G(2 - 3/alpha) G(1/alpha) / G(1 - 1/alpha)^2 - 2, for
-    an already validated alpha; a few log-gamma calls, no quadrature."""
-    return (
-        2.0
-        * math.exp(
-            log_gamma(2.0 - 3.0 / alpha)
-            + log_gamma(1.0 / alpha)
-            - 2.0 * log_gamma(1.0 - 1.0 / alpha)
-        )
-        - 2.0
-    )
+    """The closed form 2 m_(2 alpha - 4) / m_(alpha - 2)^2 - 2, which is
+    2 G(2 - 3/alpha) G(1/alpha) / G(1 - 1/alpha)^2 - 2, for an already
+    validated alpha; no quadrature, and exactly 0 at alpha = 2."""
+    ratio = _exp(_log_moment(alpha, 2 * alpha - 4) - 2.0 * _log_moment(alpha, alpha - 2))
+    return 2.0 * ratio - 2.0
 
 
 def _repetitions_integral(alpha: int, rel_tol: float) -> float:
@@ -243,8 +230,7 @@ def repetitions_required(alpha: int, rel_tol: float = 1e-8) -> RepetitionsEstima
     if alpha == 2:
         quad = None
     else:
-        spec = ProbeSpec(alpha, 1.0)
-        fisher = fisher_closed(spec)
+        fisher = fisher_closed(ProbeSpec(alpha, 1.0))
         quad = 2.0 * _repetitions_integral(alpha, rel_tol) / fisher**2 - 2.0
     return RepetitionsEstimate(
         closed_form=closed, quadrature=quad, large_alpha=2.0 * alpha

@@ -1,5 +1,6 @@
-"""Self-contained numerical kernel: special functions, adaptive quadrature,
-gamma-variate sampling, and reproducible seeded random streams.
+"""Numerical kernel: log-gamma (the standard library's ``lgamma`` behind the
+package's argument check), adaptive quadrature, gamma-variate sampling, and
+reproducible seeded random streams.
 
 Everything here is deterministic given its inputs.  Randomness enters only
 through :class:`RngStream`, an explicit value owned and advanced by the
@@ -86,41 +87,17 @@ def _normals(stream: RngStream, size: int) -> np.ndarray:
 # Log-gamma
 # ---------------------------------------------------------------------------
 
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error of the
-# reconstructed gamma is below 1e-13 over the positive axis, which translates
-# into an absolute error of the same order in the logarithm.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
 
 def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
-
-    Absolute error is below 1e-12 for x in [1e-3, 200].  Arguments under 0.5
-    are lifted through the recurrence ln G(x) = ln G(x+1) - ln x, which keeps
-    the Lanczos series in its sweet spot and makes the recurrence identity
-    hold to round-off for small x.
+    """Natural log of the gamma function for x > 0: the standard library's
+    ``math.lgamma`` behind the package's argument check.  Its value
+    overflows a float above x ~ 2.6e305, which raises :class:`DomainError`.
     """
     x = require_positive("x", x)
-    if x < 0.5:
-        return log_gamma(x + 1.0) - math.log(x)
-    z = x - 1.0
-    series = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        series += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(series)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise DomainError(f"log_gamma overflows a float at x = {x!r}") from None
 
 
 # ---------------------------------------------------------------------------

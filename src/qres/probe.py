@@ -6,10 +6,11 @@ A probe is the pure state whose momentum density is
 
 with shape exponent ``alpha`` (even integer; Gaussian at 2, approaching a
 square profile as it grows) and width ``gamma``.  This module provides the
-density, absolute moments, mean energy (the momentum variance), the inverse
-width-for-energy map, the position variance obtained by quadrature of the
-momentum-wavefunction derivative, and the position-momentum uncertainty
-product.
+density, the position variance obtained by quadrature of the momentum-
+wavefunction derivative, and the closed forms: absolute moments, mean energy
+(the momentum variance), the width-for-energy map and the uncertainty
+product.  Each closed form is one expression over one moment kernel, and a
+value that overflows a float raises :class:`DomainError`.
 
 Densities and likelihood factors are always evaluated in the log domain so
 that ``|p/gamma|^alpha`` cannot overflow before the final exponentiation.
@@ -115,22 +116,31 @@ def density(spec: ProbeSpec, p):
     return float(result) if np.isscalar(p) else result
 
 
-def absolute_moment(spec: ProbeSpec, k: int) -> float:
-    """Closed-form absolute moment E|p|^k.
+def _log_moment(alpha: int, k: float) -> float:
+    """ln m_k, the log of the unit-width absolute moment
 
-    For this family
-        E|p|^k = gamma^k * 2^(-k/alpha) * G((k+1)/alpha) / G(1/alpha),
-    which the tests cross-check against quadrature of p^k P(p).
+        m_k = E|p/gamma|^k = 2^(-k/alpha) G((k+1)/alpha) / G(1/alpha),
+
+    from which every closed form of the family is built; exactly 0 at k = 0.
     """
-    if require_int("k", k, 0) == 0:
-        return 1.0
-    a = spec.alpha
-    return math.exp(
-        k * math.log(spec.gamma)
-        - (k / a) * math.log(2.0)
-        + log_gamma((k + 1.0) / a)
-        - log_gamma(1.0 / a)
-    )
+    log_gamma_ratio = log_gamma((k + 1.0) / alpha) - log_gamma(1.0 / alpha)
+    return log_gamma_ratio - (k / alpha) * math.log(2.0)
+
+
+def _exp(x: float) -> float:
+    """exp(x) for a closed form assembled in the log domain: the one place
+    where such a value can overflow a float, which raises DomainError."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise DomainError(f"closed form overflows a float: exp({x:.6g})") from None
+
+
+def absolute_moment(spec: ProbeSpec, k: int) -> float:
+    """Closed-form absolute moment E|p|^k = gamma^k m_k, which the tests
+    cross-check against quadrature of |p|^k P(p)."""
+    k = require_int("k", k, 0)
+    return _exp(k * math.log(spec.gamma) + _log_moment(spec.alpha, k))
 
 
 def mean_energy(spec: ProbeSpec) -> float:
@@ -139,21 +149,12 @@ def mean_energy(spec: ProbeSpec) -> float:
 
 
 def gamma_for_energy(alpha: int, energy: float) -> float:
-    """The unique width giving the requested mean energy at this ``alpha``.
-
-    Inverts the mean-energy formula:
-        gamma = sqrt(energy * 2^(2/alpha) * G(1/alpha) / G(3/alpha)).
-    """
+    """The unique width giving the requested mean energy at this ``alpha``,
+    gamma = sqrt(energy / m_2), formed as sqrt(energy) m_2^(-1/2) so that
+    no intermediate overflows."""
     alpha = validate_alpha(alpha)
     energy = require_positive("energy", energy)
-    return math.sqrt(
-        energy
-        * math.exp(
-            (2.0 / alpha) * math.log(2.0)
-            + log_gamma(1.0 / alpha)
-            - log_gamma(3.0 / alpha)
-        )
-    )
+    return math.sqrt(energy) * _exp(-0.5 * _log_moment(alpha, 2))
 
 
 def position_variance(spec: ProbeSpec, rel_tol: float = 1e-8) -> float:
@@ -178,9 +179,9 @@ def position_variance(spec: ProbeSpec, rel_tol: float = 1e-8) -> float:
 
 
 def uncertainty_product(spec: ProbeSpec) -> float:
-    """The product 4 (Dx)^2 (Dp)^2 in closed form; >= 1, independent of gamma.
-
-        4 (Dx)^2 (Dp)^2 = alpha^2 G(2 - 1/alpha) G(3/alpha) / G(1/alpha)^2.
+    """The product 4 (Dx)^2 (Dp)^2 = (2 alpha)^2 m_2 m_(2 alpha - 2) in closed
+    form, from (Dp)^2 = gamma^2 m_2 and (Dx)^2 = (alpha/gamma)^2 m_(2 alpha - 2);
+    >= 1 and independent of gamma.
 
     The Gaussian probe (alpha = 2) is the minimum-uncertainty case; its value
     is exactly 1, returned without round-trip through log-gamma so identities
@@ -189,9 +190,4 @@ def uncertainty_product(spec: ProbeSpec) -> float:
     a = spec.alpha
     if a == 2:
         return 1.0
-    return math.exp(
-        2.0 * math.log(a)
-        + log_gamma(2.0 - 1.0 / a)
-        + log_gamma(3.0 / a)
-        - 2.0 * log_gamma(1.0 / a)
-    )
+    return _exp(2.0 * math.log(2.0 * a) + _log_moment(a, 2) + _log_moment(a, 2 * a - 2))

@@ -78,6 +78,16 @@ class TestProbeCommand:
         )
 
 
+    def test_width_at_huge_energy_writes_the_csv(self, tmp_path, capsys):
+        out = tmp_path / "probe.csv"
+        argv = ["probe", "--alpha", "2", "--energy", "1e308", "--out", str(out)]
+        assert cli.main(argv) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 2001
+        # the window edge is sqrt(350) times the width 2e154
+        assert float(rows[0][0]) == pytest.approx(-math.sqrt(350.0) * 2e154, rel=1e-14)
+
+
 class TestSweepCommand:
     def test_columns_and_shape(self, tmp_path):
         code, _, _ = run_cli(["sweep", "--alpha-max", "40"], tmp_path)
@@ -203,7 +213,7 @@ class TestSimulateCommand:
         3: {
             "alpha": 4,
             "energy": 0.5,
-            "gamma": 1.4464090846320767,
+            "gamma": 1.4464090846320774,
             "n": 10,
             "trials": 3,
             "chi_true": 0.0,
@@ -211,16 +221,16 @@ class TestSimulateCommand:
             "mle_variance": 0.005533977816682755,
             "posterior_mean": -0.29607861264953567,
             "posterior_variance": 0.045969130621479226,
-            "energy_bound": 0.036473993587107935,
+            "energy_bound": 0.036473993587107956,
             "approx_bound": 0.0375,
-            "n_required": 2.376879230452949,
+            "n_required": 2.376879230452958,
             "uniform_sampling": False,
             "seed": 5,
         },
         1: {
             "alpha": 4,
             "energy": 0.5,
-            "gamma": 1.4464090846320767,
+            "gamma": 1.4464090846320774,
             "n": 10,
             "trials": 1,
             "chi_true": 0.0,
@@ -228,9 +238,9 @@ class TestSimulateCommand:
             "mle_variance": None,
             "posterior_mean": -0.23504102487211692,
             "posterior_variance": 0.02740024705342954,
-            "energy_bound": 0.036473993587107935,
+            "energy_bound": 0.036473993587107956,
             "approx_bound": 0.0375,
-            "n_required": 2.376879230452949,
+            "n_required": 2.376879230452958,
             "uniform_sampling": False,
             "seed": 5,
         },
@@ -404,6 +414,19 @@ class TestExitCodes:
     def test_unknown_flag_is_a_usage_error(self, tmp_path):
         code, _, _ = run_cli(["bounds", "--bogus", "1"], tmp_path)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--alpha", "2", "--energy", "1e-310"],
+            ["bounds", "--alpha", "2", "--gamma", "1e200"],
+            ["simulate", "--alpha", "2", "--energy", "1e-310", "--n", "5"],
+        ],
+    )
+    def test_float_overflow_is_a_usage_error(self, argv, capsys):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qres: invalid parameters: closed form overflows a float")
 
     def test_accuracy_errors_map_to_exit_3(self, monkeypatch, capsys):
         def boom(args):

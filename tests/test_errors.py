@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from qres.errors import DomainError, require_finite, require_int, require_positive
-from qres.metrology import energy_bound
-from qres.numerics import RngStream, integrate, sample_gamma
+from qres.metrology import bound_report, energy_bound, fisher_closed
+from qres.numerics import RngStream, integrate, log_gamma, sample_gamma
 from qres.oscillator import HOBoundInput
-from qres.probe import ProbeSpec, gamma_for_energy
+from qres.probe import ProbeSpec, absolute_moment, gamma_for_energy, mean_energy
 
 NAN, INF = float("nan"), float("inf")
 REJECTED = DomainError
@@ -95,3 +95,25 @@ def test_nan_tolerance_is_rejected_before_any_evaluation(tolerance):
     with pytest.raises(DomainError):
         integrate(counting, 0.0, 1.0, **{tolerance: math.nan})
     assert calls == []
+
+
+# each of these raised a bare OverflowError (an ArithmeticError) or, for
+# log_gamma, returned inf
+OVERFLOW_CASES = {
+    "fisher_closed gamma 1e-200": lambda: fisher_closed(ProbeSpec(2, 1e-200)),
+    "absolute_moment k 400": lambda: absolute_moment(ProbeSpec(2, 10.0), 400),
+    "mean_energy gamma 1e200": lambda: mean_energy(ProbeSpec(2, 1e200)),
+    "bound_report energy 1e-310": lambda: bound_report(2, 1e-310, 1),
+    "log_gamma 1e306": lambda: log_gamma(1e306),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+def test_float_overflow_raises_domain_error(case):
+    with pytest.raises(DomainError, match="overflows a float"):
+        OVERFLOW_CASES[case]()
+
+
+def test_width_fits_where_energy_over_m2_would_overflow():
+    # energy / m_2 = 4e308 is not a float, but the width 2e154 is
+    assert gamma_for_energy(2, 1e308) == pytest.approx(2e154, rel=1e-15)

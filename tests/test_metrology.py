@@ -1,8 +1,8 @@
 """Tests for the resolution bounds.
 
-Oracles: stdlib ``math.lgamma`` expressions evaluated inline (independent of
-the package's own log-gamma), the quadrature route against the closed forms,
-and hand-checked special cases of the Gaussian probe.
+Oracles: stdlib ``math.lgamma`` expressions evaluated inline, 50-digit mpmath
+for every closed form of the probe family, the quadrature route against the
+closed forms, and hand-checked special cases of the Gaussian probe.
 """
 
 import math
@@ -26,7 +26,14 @@ from qres.metrology import (
     scenario_chi_electric,
     scenario_chi_stern_gerlach,
 )
-from qres.probe import ProbeSpec, gamma_for_energy, position_variance, uncertainty_product
+from qres.probe import (
+    ProbeSpec,
+    absolute_moment,
+    gamma_for_energy,
+    mean_energy,
+    position_variance,
+    uncertainty_product,
+)
 
 
 def _stdlib_energy_bound(alpha, energy, n):
@@ -211,6 +218,70 @@ _PINNED_REPETITIONS = {
     100: 192.12959872919023,
     200: 392.06529481497074,
 }
+
+
+# Every closed form against 50-digit mpmath at every even alpha, built from
+# the unit-width absolute moments m_k = 2^(-k/alpha) G((k+1)/alpha) / G(1/alpha).
+_ORACLE_ENERGIES = (1e-3, 1.0 / 3.0, 0.5, 7.0, 1e3)
+_ORACLE_REPETITIONS = 7
+_ORACLE_ORDERS = (1, 3, 7)
+_CLOSED_FORMS = (
+    "absolute_moment",
+    "mean_energy",
+    "gamma_for_energy",
+    "fisher_closed",
+    "uncertainty_product",
+    "normalized_bound",
+    "energy_bound",
+    "repetitions_closed",
+)
+
+
+def _closed_forms_against_mpmath(mp):
+    """Yield (closed form, qres value, 50-digit value)."""
+    for alpha in range(2, 202, 2):
+        a = mp.mpf(alpha)
+
+        def m(k):
+            return mp.power(2, -k / a) * mp.gamma((k + 1) / a) / mp.gamma(1 / a)
+
+        product = (2 * a) ** 2 * m(2) * m(2 * alpha - 2)
+        yield "uncertainty_product", uncertainty_product(ProbeSpec(alpha, 1.0)), product
+        yield "normalized_bound", normalized_bound(alpha), 1 / product
+        repetitions = 2 * m(2 * alpha - 4) / m(alpha - 2) ** 2 - 2
+        yield "repetitions_closed", metrology._repetitions_closed(alpha), repetitions
+        for energy in _ORACLE_ENERGIES:
+            e = mp.mpf(energy)
+            yield "gamma_for_energy", gamma_for_energy(alpha, energy), mp.sqrt(e / m(2))
+            yield (
+                "energy_bound",
+                energy_bound(alpha, energy, _ORACLE_REPETITIONS),
+                e / _ORACLE_REPETITIONS / product,
+            )
+            spec = ProbeSpec(alpha, gamma_for_energy(alpha, energy))
+            g = mp.mpf(spec.gamma)  # the float width, exactly
+            yield "mean_energy", mean_energy(spec), g**2 * m(2)
+            yield "fisher_closed", fisher_closed(spec), (2 * a / g) ** 2 * m(2 * alpha - 2)
+            for k in _ORACLE_ORDERS:
+                yield "absolute_moment", absolute_moment(spec, k), g**k * m(k)
+
+
+@pytest.fixture(scope="module")
+def worst_mpmath_errors():
+    """Largest relative error of each closed form against mpmath (absolute
+    where the exact value is 0: the repetitions at alpha = 2)."""
+    mpmath = pytest.importorskip("mpmath")
+    worst = dict.fromkeys(_CLOSED_FORMS, 0.0)
+    with mpmath.workdps(50):
+        for name, value, exact in _closed_forms_against_mpmath(mpmath):
+            error = abs(value - exact) / abs(exact) if exact else abs(value)
+            worst[name] = max(worst[name], float(error))
+    return worst
+
+
+@pytest.mark.parametrize("name", _CLOSED_FORMS)
+def test_closed_form_within_1e_14_of_mpmath(worst_mpmath_errors, name):
+    assert worst_mpmath_errors[name] <= 1e-14
 
 
 class TestPinnedQuadratures:
