@@ -32,7 +32,6 @@ from .errors import AccuracyError, DomainError, ResolutionError
 from .metrology import (
     _repetitions_closed,
     bound_report,
-    energy_bound,
     energy_bound_approx,
     normalized_bound,
     scenario_chi_electric,
@@ -168,14 +167,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _write_posterior_csv(path: str, grid) -> None:
-    _write_csv(
-        path,
-        ["chi_tilde", "density"],
-        ((_fmt(x), _fmt(d)) for x, d in zip(grid.grid, grid.density)),
-    )
-
-
 def _cmd_simulate(args) -> int:
     spec, energy = _resolve_spec(args.alpha, args.energy, args.gamma)
     seed = _resolve_seed(args)
@@ -195,7 +186,8 @@ def _cmd_simulate(args) -> int:
         sampler = draw_uniform if args.uniform_sampling else draw
         samples = sampler(trial_spec, args.chi, args.n, RngStream(seed, 0))
         grid = posterior(samples, args.grid_points, center=summary.mles[0])
-        _write_posterior_csv(args.posterior_out, grid)
+        rows = ((_fmt(x), _fmt(d)) for x, d in zip(grid.grid, grid.density))
+        _write_csv(args.posterior_out, ["chi_tilde", "density"], rows)
 
     payload = {
         "alpha": spec.alpha,
@@ -208,7 +200,7 @@ def _cmd_simulate(args) -> int:
         "mle_variance": summary.mle_variance,
         "posterior_mean": float(summary.posterior_means.mean()),
         "posterior_variance": summary.mean_posterior_variance,
-        "energy_bound": energy_bound(spec.alpha, energy, args.n),
+        "energy_bound": summary.energy_bound,
         "approx_bound": energy_bound_approx(spec.alpha, energy, args.n),
         "n_required": _repetitions_closed(spec.alpha),
         "uniform_sampling": args.uniform_sampling,

@@ -1,5 +1,5 @@
 """Exception hierarchy shared by all qres modules, and the argument checks
-that raise its :class:`DomainError`.
+and the result check that raise its :class:`DomainError`.
 
 Public functions never raise bare ``ValueError``/``TypeError``/
 ``ArithmeticError``; they raise one of the semantic classes below so callers
@@ -10,7 +10,8 @@ bools or fractions where a count is needed, and NaN or infinity where a real
 is needed.  :func:`require_int`, :func:`require_finite` and
 :func:`require_positive` hold that rule in one place; a rule that belongs to
 one domain (even alpha, odd grid sizes, ``lo < hi``) is built on them where it
-is used.
+is used.  :func:`finite_result` raises it for a result that overflows a float
+(plain float arithmetic turns that into inf without an error).
 """
 
 import math
@@ -77,3 +78,11 @@ def require_positive(name: str, value) -> float:
     if not result > 0.0:
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
     return result
+
+
+def finite_result(name: str, value):
+    """``value``, a float or a tuple of floats, if every entry is finite;
+    :class:`DomainError` for a result that overflowed a float otherwise."""
+    if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+        raise DomainError(f"{name} overflows a float: got {value!r}")
+    return value

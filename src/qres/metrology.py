@@ -26,21 +26,19 @@ probe) the result is the exact value rather than the round-tripped one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .errors import require_finite, require_int, require_positive
+from .errors import DomainError, finite_result, require_finite, require_int
+from .errors import require_positive
 from .numerics import integrate
 from .probe import (
     ProbeSpec,
     _exp,
     _log_moment,
-    _log_prefactor,
     _scaled_power,
+    _unit_integrand,
     gamma_for_energy,
     position_variance,
-    truncation_window,
     uncertainty_product,
     validate_alpha,
 )
@@ -79,32 +77,37 @@ def fisher_closed(spec: ProbeSpec) -> float:
     return _exp(2.0 * log_score_scale + _log_moment(a, 2 * a - 2))
 
 
+# fisher_numeric's nodes about the shifted centre chi/gamma carry a rounding
+# error of ~|chi/gamma| 2^-52 widths: up to 1e6 widths the result stays within
+# the default rel_tol (7.8e-9 at alpha = 200); by 1e14 widths it is wrong.
+_SHIFT_MAX = 1e6
+
+
 def fisher_numeric(spec: ProbeSpec, chi: float = 0.0, rel_tol: float = 1e-8) -> float:
     """Fisher information by quadrature of (dP/dchi)^2 / P for the shifted
     density P(p - chi).
 
     The family is a pure location family, so the result does not depend on
-    ``chi``; the parameter exists to let callers confirm that.  The score is
-    analytic, d(ln P)/dp = -(2 alpha / gamma) |u|^(alpha-1) sign(u) with
-    u = (p - chi)/gamma, so the integrand is the squared score times the
-    density, with every power of |u| formed in the log domain.
+    ``chi``; the parameter exists to let callers confirm that, up to
+    |chi| = 1e6 gamma.  The score is analytic, d(ln P)/dp =
+    -(2 alpha / gamma) |u|^(alpha-1) sign(u) with u = (p - chi)/gamma, so the
+    integrand is the squared score times the density, integrated at unit width
+    about chi/gamma and rescaled by (2 alpha/gamma)^2 in the log domain.
     """
-    chi = require_finite("chi", chi)
-    a, g = spec.alpha, spec.gamma
-    window = truncation_window(spec)
-    log_prefactor = _log_prefactor(spec)
-
-    def integrand(p):
-        u = np.asarray(p, dtype=float) - chi
-        dens = np.exp(log_prefactor - 2.0 * _scaled_power(u, g, a))
-        return (2.0 * a / g) ** 2 * _scaled_power(u, g, 2 * a - 2) * dens
-
-    return integrate(integrand, chi - window, chi + window, rel_tol, initial_panels=32)
+    a, shift = spec.alpha, require_finite("chi", chi) / spec.gamma
+    if not abs(shift) <= _SHIFT_MAX:
+        raise DomainError(f"|chi|/gamma = {abs(shift):g} is above {_SHIFT_MAX:g}")
+    integrand, lo, hi = _unit_integrand(
+        a, lambda u: _scaled_power(u, 1.0, 2 * a - 2), shift
+    )
+    integral = integrate(integrand, lo, hi, rel_tol, initial_panels=32)
+    return _exp(2.0 * (math.log(2.0 * a) - math.log(spec.gamma)) + math.log(integral))
 
 
 def crb(fisher: float, n: int) -> float:
     """Cramer-Rao variance floor 1/(n * fisher) for n repetitions."""
-    return 1.0 / (require_int("n", n, 1) * require_positive("fisher", fisher))
+    bound = 1.0 / (require_int("n", n, 1) * require_positive("fisher", fisher))
+    return finite_result("crb", bound)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +145,9 @@ def energy_bound(alpha: int, energy: float, n: int) -> float:
 
 def energy_bound_approx(alpha: int, energy: float, n: int) -> float:
     """Large-alpha approximation of :func:`energy_bound`: 3 energy/(n alpha)."""
-    alpha = validate_alpha(alpha)
-    return 3.0 * require_positive("energy", energy) / (require_int("n", n, 1) * alpha)
+    alpha, energy = validate_alpha(alpha), require_positive("energy", energy)
+    bound = 3.0 * energy / (require_int("n", n, 1) * alpha)
+    return finite_result("energy_bound_approx", bound)
 
 
 def error_propagation_bound(energy: float, n: int) -> float:
@@ -202,17 +206,14 @@ def _repetitions_integral(alpha: int, rel_tol: float) -> float:
     At p = 0 both derivative factors vanish for even alpha >= 4, so the
     integrand limit there is 0.
     """
-    spec = ProbeSpec(alpha, 1.0)  # the result is width-independent
-    window = truncation_window(spec)
-    log_prefactor = _log_prefactor(spec)
 
-    def integrand(p):
-        dens = np.exp(log_prefactor - 2.0 * _scaled_power(p, 1.0, alpha))
-        l1_squared = 4.0 * alpha * alpha * _scaled_power(p, 1.0, 2 * alpha - 2)
-        l2 = -2.0 * alpha * (alpha - 1.0) * _scaled_power(p, 1.0, alpha - 2)
-        return dens * ((l2 + l1_squared) ** 2 - l1_squared**2 / 3.0)
+    def weight(u):
+        l1_squared = 4.0 * alpha * alpha * _scaled_power(u, 1.0, 2 * alpha - 2)
+        l2 = -2.0 * alpha * (alpha - 1.0) * _scaled_power(u, 1.0, alpha - 2)
+        return (l2 + l1_squared) ** 2 - l1_squared**2 / 3.0
 
-    return integrate(integrand, -window, window, rel_tol, initial_panels=32)
+    integrand, lo, hi = _unit_integrand(alpha, weight)
+    return integrate(integrand, lo, hi, rel_tol, initial_panels=32)
 
 
 def repetitions_required(alpha: int, rel_tol: float = 1e-8) -> RepetitionsEstimate:
@@ -248,20 +249,14 @@ def scenario_chi_electric(q: float, field: float, tau: float) -> float:
     Unit-agnostic multiplier; charge, field amplitude and interaction time
     are already in the scheme's dimensionless units.
     """
-    return (
-        require_finite("q", q)
-        * require_finite("field", field)
-        * require_finite("tau", tau)
-    )
+    chi = require_finite("q", q) * require_finite("field", field)
+    return finite_result("scenario_chi_electric", chi * require_finite("tau", tau))
 
 
 def scenario_chi_stern_gerlach(mu_z: float, gradient: float, tau: float) -> float:
     """Momentum shift from a Stern-Gerlach gradient: chi = mu_z B0 tau."""
-    return (
-        require_finite("mu_z", mu_z)
-        * require_finite("gradient", gradient)
-        * require_finite("tau", tau)
-    )
+    chi = require_finite("mu_z", mu_z) * require_finite("gradient", gradient)
+    return finite_result("scenario_chi_stern_gerlach", chi * require_finite("tau", tau))
 
 
 # ---------------------------------------------------------------------------
@@ -293,21 +288,8 @@ class BoundReport:
     uncertainty_product: float
 
     def to_dict(self) -> dict:
-        """Plain dict with stable key order, ready for JSON rendering."""
-        return {
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "mean_energy": self.mean_energy,
-            "repetitions": self.repetitions,
-            "fisher": self.fisher,
-            "quantum_fisher": self.quantum_fisher,
-            "crb": self.crb,
-            "energy_bound": self.energy_bound,
-            "approx_bound": self.approx_bound,
-            "error_prop_bound": self.error_prop_bound,
-            "n_required": self.n_required,
-            "uncertainty_product": self.uncertainty_product,
-        }
+        """Plain dict in field order, ready for JSON rendering."""
+        return asdict(self)
 
 
 def bound_report(alpha: int, energy: float, n: int) -> BoundReport:

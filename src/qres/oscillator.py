@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, UnboundedInformationError
+from .errors import DomainError, UnboundedInformationError, finite_result
 from .errors import require_finite, require_int, require_positive
 
 __all__ = [
@@ -69,7 +69,7 @@ class HOBoundInput:
     def large_dx_regime(self) -> bool:
         """True when energy/omega^2 >> 1, i.e. the position spread implied by
         the energy budget is large and the bound's derivation applies."""
-        return self.energy / self.omega**2 > _LARGE_DX_MIN
+        return self.energy / self.omega / self.omega > _LARGE_DX_MIN
 
     @property
     def free_particle_limit(self) -> bool:
@@ -88,7 +88,9 @@ def ho_energy_bound(bound_input: HOBoundInput) -> float:
     ``bound_input.large_dx_regime`` and ``bound_input.free_particle_limit``
     before leaning on the value.
     """
-    return bound_input.omega**2 / (4.0 * bound_input.repetitions * bound_input.energy)
+    omega = bound_input.omega
+    bound = omega * omega / (4.0 * bound_input.repetitions * bound_input.energy)
+    return finite_result("ho_energy_bound", bound)
 
 
 @dataclass(frozen=True)
@@ -196,5 +198,5 @@ def number_shift_fisher(model: NumberShiftModel) -> NumberShiftFisher:
         )
     n1 = model.n_level + 1.0
     exact = n1 / (model.chi * (n1 + model.chi) ** 2)
-    approx = 1.0 / (model.chi * n1)
-    return NumberShiftFisher(exact=exact, approx=approx)
+    fisher = NumberShiftFisher(exact=exact, approx=1.0 / (model.chi * n1))
+    return finite_result("number_shift_fisher", fisher)

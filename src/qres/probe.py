@@ -128,8 +128,8 @@ def _log_moment(alpha: int, k: float) -> float:
 
 
 def _exp(x: float) -> float:
-    """exp(x) for a closed form assembled in the log domain: the one place
-    where such a value can overflow a float, which raises DomainError."""
+    """exp(x) for a closed form or quadrature assembled in the log domain: the
+    one place where such a value can overflow a float, raising DomainError."""
     try:
         return math.exp(x)
     except OverflowError:
@@ -157,6 +157,22 @@ def gamma_for_energy(alpha: int, energy: float) -> float:
     return math.sqrt(energy) * _exp(-0.5 * _log_moment(alpha, 2))
 
 
+def _unit_integrand(alpha: int, weight, shift: float = 0.0):
+    """(integrand, lo, hi) behind every probe quadrature: weight(u) P(u) for
+    an even weight, u = t - shift, over the window of the unit-width probe
+    centred at ``shift``; O(1) at any width, so callers rescale in the log
+    domain."""
+    unit = ProbeSpec(alpha, 1.0)
+    window = truncation_window(unit)
+    log_prefactor = _log_prefactor(unit)
+
+    def integrand(t):
+        u = t - shift
+        return weight(u) * np.exp(log_prefactor - 2.0 * _scaled_power(u, 1.0, alpha))
+
+    return integrand, shift - window, shift + window
+
+
 def position_variance(spec: ProbeSpec, rel_tol: float = 1e-8) -> float:
     """Position variance (Dx)^2, by quadrature of the squared derivative of
     the real momentum wavefunction psi(p) = sqrt(P(p)).
@@ -165,17 +181,13 @@ def position_variance(spec: ProbeSpec, rel_tol: float = 1e-8) -> float:
         psi'(p) = -(alpha/gamma) |p/gamma|^(alpha-1) sign(p) psi(p),
     so (psi')^2 = (alpha/gamma)^2 |p/gamma|^(2 alpha - 2) P(p); a
     finite-difference cross-check lives in the tests, not here, because
-    differencing cancels catastrophically at large alpha.
+    differencing cancels catastrophically at large alpha.  The integral runs
+    at unit width and is rescaled by (alpha/gamma)^2 in the log domain.
     """
-    a, g = spec.alpha, spec.gamma
-    window = truncation_window(spec)
-    log_prefactor = _log_prefactor(spec)
-
-    def integrand(p):
-        dens = np.exp(log_prefactor - 2.0 * _scaled_power(p, g, a))
-        return (a / g) ** 2 * _scaled_power(p, g, 2 * a - 2) * dens
-
-    return integrate(integrand, -window, window, rel_tol, initial_panels=32)
+    a = spec.alpha
+    integrand, lo, hi = _unit_integrand(a, lambda u: _scaled_power(u, 1.0, 2 * a - 2))
+    integral = integrate(integrand, lo, hi, rel_tol, initial_panels=32)
+    return _exp(2.0 * (math.log(a) - math.log(spec.gamma)) + math.log(integral))
 
 
 def uncertainty_product(spec: ProbeSpec) -> float:

@@ -428,6 +428,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("qres: invalid parameters: closed form overflows a float")
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["bounds", "--alpha", "2", "--energy", "1e-300"], 0),
+            (["bounds", "--alpha", "2", "--energy", "1e308"], 2),
+            (["oscillator", "--omega", "1e200", "--energy", "1e-200"], 2),
+            (["oscillator", "--omega", "1e-200", "--energy", "1e200"], 0),
+        ],
+    )
+    def test_extreme_floats_give_strict_json_or_exit_2(self, argv, code, capsys):
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        assert cli.main(argv) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            json.loads(out, parse_constant=reject)
+        else:
+            assert "overflows a float" in err
+
     def test_accuracy_errors_map_to_exit_3(self, monkeypatch, capsys):
         def boom(args):
             raise AccuracyError("synthetic failure", best_estimate=1.0)

@@ -8,10 +8,30 @@ import numpy as np
 import pytest
 
 from qres.errors import DomainError, require_finite, require_int, require_positive
-from qres.metrology import bound_report, energy_bound, fisher_closed
+from qres.metrology import (
+    bound_report,
+    crb,
+    energy_bound,
+    energy_bound_approx,
+    fisher_closed,
+    fisher_numeric,
+    scenario_chi_electric,
+    scenario_chi_stern_gerlach,
+)
 from qres.numerics import RngStream, integrate, log_gamma, sample_gamma
-from qres.oscillator import HOBoundInput
-from qres.probe import ProbeSpec, absolute_moment, gamma_for_energy, mean_energy
+from qres.oscillator import (
+    HOBoundInput,
+    NumberShiftModel,
+    ho_energy_bound,
+    number_shift_fisher,
+)
+from qres.probe import (
+    ProbeSpec,
+    absolute_moment,
+    gamma_for_energy,
+    mean_energy,
+    position_variance,
+)
 
 NAN, INF = float("nan"), float("inf")
 REJECTED = DomainError
@@ -97,14 +117,34 @@ def test_nan_tolerance_is_rejected_before_any_evaluation(tolerance):
     assert calls == []
 
 
-# each of these raised a bare OverflowError (an ArithmeticError) or, for
-# log_gamma, returned inf
+# each of these raised a bare OverflowError (an ArithmeticError) or returned
+# inf
 OVERFLOW_CASES = {
     "fisher_closed gamma 1e-200": lambda: fisher_closed(ProbeSpec(2, 1e-200)),
     "absolute_moment k 400": lambda: absolute_moment(ProbeSpec(2, 10.0), 400),
     "mean_energy gamma 1e200": lambda: mean_energy(ProbeSpec(2, 1e200)),
     "bound_report energy 1e-310": lambda: bound_report(2, 1e-310, 1),
     "log_gamma 1e306": lambda: log_gamma(1e306),
+    "position_variance gamma 1e-200": lambda: position_variance(ProbeSpec(2, 1e-200)),
+    "fisher_numeric gamma 1e-200": lambda: fisher_numeric(ProbeSpec(2, 1e-200)),
+    "crb fisher 1e-320": lambda: crb(1e-320, 1),
+    "energy_bound_approx energy 1e308": lambda: energy_bound_approx(2, 1e308, 1),
+    "bound_report approx_bound at energy 1e308": lambda: bound_report(2, 1e308, 1),
+    "scenario_chi_electric 1e200 * 1e200": lambda: scenario_chi_electric(
+        1e200, 1e200, 1.0
+    ),
+    "scenario_chi_stern_gerlach 1e200 * 1e200": lambda: scenario_chi_stern_gerlach(
+        1e200, 1e200, 1.0
+    ),
+    "number_shift_fisher chi 1e-320": lambda: number_shift_fisher(
+        NumberShiftModel(0, 1e-320)
+    ),
+    "ho_energy_bound omega 1e200": lambda: ho_energy_bound(
+        HOBoundInput(1e200, 1e-200, 1)
+    ),
+    "ho_energy_bound omega^2 / energy": lambda: ho_energy_bound(
+        HOBoundInput(1e150, 1e-100, 1)
+    ),
 }
 
 

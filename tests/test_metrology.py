@@ -7,6 +7,7 @@ closed forms, and hand-checked special cases of the Gaussian probe.
 
 import math
 import time
+import warnings
 from math import lgamma
 
 import pytest
@@ -67,6 +68,17 @@ class TestFisher:
         at_zero = fisher_numeric(spec, chi=0.0)
         at_shift = fisher_numeric(spec, chi=0.7)
         assert at_shift == pytest.approx(at_zero, rel=1e-7)
+
+    def test_shift_beyond_a_million_widths_is_refused(self):
+        # 1e15 widths: the shifted nodes are off by about a width, and the
+        # quadrature returned 4.86e7 against the closed form's 2.16e7
+        spec = ProbeSpec(20, 1e-3)
+        with pytest.raises(DomainError, match="chi"):
+            fisher_numeric(spec, chi=1e12)
+        for chi in (-1e3, 1e3):  # 1e6 widths, still within the default rel_tol
+            assert fisher_numeric(spec, chi) == pytest.approx(
+                fisher_closed(spec), rel=1e-8
+            )
 
 
 class TestCrb:
@@ -332,6 +344,13 @@ class TestBoundReport:
         report = bound_report(4, 1.0, 1)
         assert report.quantum_fisher == pytest.approx(report.fisher, rel=1e-6)
 
+    @pytest.mark.parametrize("alpha, energy", [(4, 1e-308), (2, 1e-300), (200, 1e300)])
+    def test_quadrature_route_holds_where_the_closed_form_fits(self, alpha, energy):
+        # integrated at width gamma, the first raised a bare OverflowError, the
+        # second an AccuracyError, and the third underflowed to 0.0
+        report = bound_report(alpha, energy, 1)
+        assert report.quantum_fisher / report.fisher == pytest.approx(1.0, rel=1e-6)
+
     def test_reports_the_closed_form_without_the_repetitions_quadrature(
         self, monkeypatch
     ):
@@ -371,3 +390,26 @@ class TestEfficiencyIdentityGrid:
                     fisher_closed(spec), rel=1e-6
                 )
         assert time.monotonic() - start < 5.0
+
+
+def test_bound_report_at_every_energy():
+    """Every even alpha at energies 10^k, k = -307..302 in steps of 7: each
+    report is finite, with the quadrature route within 1e-6 of the closed
+    form, or refused with DomainError where the closed-form Fisher
+    information itself overflows a float; nothing warns or raises otherwise."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in range(2, 202, 2):
+            for k in range(-307, 303, 7):
+                energy = 10.0**k
+                try:
+                    report = bound_report(alpha, energy, 1)
+                except DomainError:
+                    spec = ProbeSpec(alpha, gamma_for_energy(alpha, energy))
+                    with pytest.raises(DomainError, match="overflows a float"):
+                        fisher_closed(spec)
+                    continue
+                values = report.to_dict().values()
+                assert all(math.isfinite(v) for v in values), (alpha, k)
+                ratio = report.quantum_fisher / report.fisher
+                assert abs(ratio - 1.0) <= 1e-6, (alpha, k, ratio)

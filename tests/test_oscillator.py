@@ -49,6 +49,9 @@ class TestHoEnergyBound:
     def test_large_dx_regime_flag(self):
         assert HOBoundInput(0.1, 1.0, 1).large_dx_regime
         assert not HOBoundInput(1.0, 1.0, 1).large_dx_regime
+        # omega^2 under- and overflows a float here; the ratio does not need it
+        assert HOBoundInput(1e-200, 1e200, 1).large_dx_regime
+        assert not HOBoundInput(1e200, 1e-200, 1).large_dx_regime
 
     def test_validation(self):
         with pytest.raises(DomainError):
