@@ -32,6 +32,7 @@ from .errors import AccuracyError, DomainError, ResolutionError
 from .metrology import (
     _repetitions_closed,
     bound_report,
+    crb,
     energy_bound_approx,
     normalized_bound,
     scenario_chi_electric,
@@ -45,16 +46,8 @@ from .oscillator import (
     number_shift_distribution,
     number_shift_fisher,
 )
-from .numerics import RngStream
-from .probe import (
-    ProbeSpec,
-    density,
-    gamma_for_energy,
-    mean_energy,
-    truncation_window,
-    validate_alpha,
-)
-from .simulate import draw, draw_uniform, posterior, run_trials
+from .probe import ProbeSpec, _stated, density, truncation_window, validate_alpha
+from .simulate import run_trials
 
 DEFAULT_SEED = 42
 DEFAULT_REPETITIONS = 50
@@ -81,15 +74,14 @@ def _parse_alpha_list(text: str) -> list[int]:
     return values
 
 
-def _resolve_spec(alpha: int, energy, gamma) -> tuple[ProbeSpec, float]:
-    """Build the probe from exactly one of energy/gamma; returns (spec, energy)."""
+def _resolve_spec(alpha: int, energy, gamma) -> tuple[int | ProbeSpec, float | None]:
+    """The probe from exactly one of energy/gamma, stated as the library takes
+    it: (alpha, energy) or (ProbeSpec(alpha, gamma), None)."""
     if (energy is None) == (gamma is None):
         raise DomainError("exactly one of --energy and --gamma must be given")
     if energy is not None:
-        spec = ProbeSpec(alpha, gamma_for_energy(alpha, energy))
-        return spec, float(energy)
-    spec = ProbeSpec(alpha, float(gamma))
-    return spec, mean_energy(spec)
+        return alpha, energy
+    return ProbeSpec(alpha, gamma), None
 
 
 def _resolve_seed(args) -> int:
@@ -137,7 +129,7 @@ def _cmd_probe(args) -> int:
     if energy is None and gamma is None:
         energy = _FIG1_ENERGY
     for alpha in alphas:
-        spec, _ = _resolve_spec(alpha, energy, gamma)
+        spec, _ = _stated(*_resolve_spec(alpha, energy, gamma))
         window = truncation_window(spec)
         grid = np.linspace(-window, window, PROBE_CSV_ROWS)
         values = density(spec, grid)
@@ -148,8 +140,8 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    spec, energy = _resolve_spec(args.alpha, args.energy, args.gamma)
-    report = bound_report(spec.alpha, energy, args.n)
+    probe, energy = _resolve_spec(args.alpha, args.energy, args.gamma)
+    report = bound_report(probe, energy, args.n)
     _emit_json(report.to_dict(), args.out)
     return 0
 
@@ -168,11 +160,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    spec, energy = _resolve_spec(args.alpha, args.energy, args.gamma)
     seed = _resolve_seed(args)
     summary = run_trials(
-        spec.alpha,
-        energy,
+        *_resolve_spec(args.alpha, args.energy, args.gamma),
         args.n,
         args.chi,
         args.trials,
@@ -181,18 +171,14 @@ def _cmd_simulate(args) -> int:
         uniform_sampling=args.uniform_sampling,
     )
     if args.posterior_out:
-        # trial 0 again, drawn with the probe run_trials builds from the energy
-        trial_spec = ProbeSpec(spec.alpha, gamma_for_energy(spec.alpha, energy))
-        sampler = draw_uniform if args.uniform_sampling else draw
-        samples = sampler(trial_spec, args.chi, args.n, RngStream(seed, 0))
-        grid = posterior(samples, args.grid_points, center=summary.mles[0])
+        grid = summary.first_posterior
         rows = ((_fmt(x), _fmt(d)) for x, d in zip(grid.grid, grid.density))
         _write_csv(args.posterior_out, ["chi_tilde", "density"], rows)
 
     payload = {
-        "alpha": spec.alpha,
-        "energy": energy,
-        "gamma": spec.gamma,
+        "alpha": summary.alpha,
+        "energy": summary.energy,
+        "gamma": summary.gamma,
         "n": args.n,
         "trials": args.trials,
         "chi_true": args.chi,
@@ -201,8 +187,8 @@ def _cmd_simulate(args) -> int:
         "posterior_mean": float(summary.posterior_means.mean()),
         "posterior_variance": summary.mean_posterior_variance,
         "energy_bound": summary.energy_bound,
-        "approx_bound": energy_bound_approx(spec.alpha, energy, args.n),
-        "n_required": _repetitions_closed(spec.alpha),
+        "approx_bound": energy_bound_approx(summary.alpha, summary.energy, args.n),
+        "n_required": _repetitions_closed(summary.alpha),
         "uniform_sampling": args.uniform_sampling,
         "seed": seed,
     }
@@ -237,7 +223,7 @@ def _cmd_oscillator(args) -> int:
                 "mean_number_first_order": mean_number(model, "first_order"),
                 "fisher_exact": fisher.exact,
                 "fisher_approx": fisher.approx,
-                "crb_approx": 1.0 / (bound_input.repetitions * fisher.approx),
+                "crb_approx": crb(fisher.approx, bound_input.repetitions),
             }
         )
     _emit_json(payload, args.out)

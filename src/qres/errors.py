@@ -15,6 +15,7 @@ is used.  :func:`finite_result` raises it for a result that overflows a float
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -51,10 +52,14 @@ class UnboundedInformationError(DomainError):
 
 def require_int(name: str, value, minimum: int | None = None) -> int:
     """``value`` as an ``int`` if it is an integer (``int`` or ``np.integer``,
-    not ``bool``) of at least ``minimum``; :class:`DomainError` otherwise.
-    Non-integers are rejected, never truncated."""
+    not ``bool``) of at least ``minimum`` that a float can hold;
+    :class:`DomainError` otherwise.  Non-integers are rejected, never
+    truncated."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+    limit = sys.float_info.max
+    if not -limit <= value <= limit:
+        raise DomainError(f"{name} overflows a float: |{name}| > {limit:g}")
     if minimum is not None and value < minimum:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)

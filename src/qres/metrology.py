@@ -36,8 +36,8 @@ from .probe import (
     _exp,
     _log_moment,
     _scaled_power,
+    _stated,
     _unit_integrand,
-    gamma_for_energy,
     position_variance,
     uncertainty_product,
     validate_alpha,
@@ -105,8 +105,12 @@ def fisher_numeric(spec: ProbeSpec, chi: float = 0.0, rel_tol: float = 1e-8) -> 
 
 
 def crb(fisher: float, n: int) -> float:
-    """Cramer-Rao variance floor 1/(n * fisher) for n repetitions."""
-    bound = 1.0 / (require_int("n", n, 1) * require_positive("fisher", fisher))
+    """Cramer-Rao variance floor 1/(n * fisher) for n repetitions, formed as
+    1/n/fisher where n * fisher overflows; DomainError if it underflows to 0."""
+    n, fisher = require_int("n", n, 1), require_positive("fisher", fisher)
+    bound = 1.0 / (n * fisher) if n * fisher < math.inf else 1.0 / n / fisher
+    if bound == 0.0:
+        raise DomainError(f"crb underflows a float: 1/({n:.6g} * {fisher:.6g})")
     return finite_result("crb", bound)
 
 
@@ -292,30 +296,28 @@ class BoundReport:
         return asdict(self)
 
 
-def bound_report(alpha: int, energy: float, n: int) -> BoundReport:
-    """Populate a :class:`BoundReport` for the probe with the given mean
-    energy.
+def bound_report(alpha: int | ProbeSpec, energy: float | None, n: int) -> BoundReport:
+    """Populate a :class:`BoundReport` for one probe, stated as ``(alpha,
+    energy)`` or as ``(ProbeSpec, None)``, which is reported at its own width.
 
     ``quantum_fisher`` is computed as 4x the position-variance quadrature,
     independently of the closed-form ``fisher``, so the report itself
     exercises the measurement-efficiency identity.
     """
-    alpha = validate_alpha(alpha)
-    energy = require_positive("energy", energy)
+    spec, energy = _stated(alpha, energy)
     n = require_int("n", n, 1)
-    spec = ProbeSpec(alpha, gamma_for_energy(alpha, energy))
     fisher = fisher_closed(spec)
     return BoundReport(
-        alpha=alpha,
+        alpha=spec.alpha,
         gamma=spec.gamma,
         mean_energy=energy,
         repetitions=n,
         fisher=fisher,
         quantum_fisher=4.0 * position_variance(spec),
         crb=crb(fisher, n),
-        energy_bound=energy_bound(alpha, energy, n),
-        approx_bound=energy_bound_approx(alpha, energy, n),
+        energy_bound=energy_bound(spec.alpha, energy, n),
+        approx_bound=energy_bound_approx(spec.alpha, energy, n),
         error_prop_bound=error_propagation_bound(energy, n),
-        n_required=_repetitions_closed(alpha),
+        n_required=_repetitions_closed(spec.alpha),
         uncertainty_product=uncertainty_product(spec),
     )

@@ -197,6 +197,6 @@ def number_shift_fisher(model: NumberShiftModel) -> NumberShiftFisher:
             "evaluate at a strictly positive signal"
         )
     n1 = model.n_level + 1.0
-    exact = n1 / (model.chi * (n1 + model.chi) ** 2)
+    exact = n1 / (model.chi * (n1 + model.chi)) / (n1 + model.chi)
     fisher = NumberShiftFisher(exact=exact, approx=1.0 / (model.chi * n1))
     return finite_result("number_shift_fisher", fisher)

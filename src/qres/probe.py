@@ -157,6 +157,17 @@ def gamma_for_energy(alpha: int, energy: float) -> float:
     return math.sqrt(energy) * _exp(-0.5 * _log_moment(alpha, 2))
 
 
+def _stated(alpha, energy) -> tuple[ProbeSpec, float]:
+    """(spec, energy) of a probe stated as (ProbeSpec, None), used as given
+    with its mean energy, or as (alpha, energy), whose energy is kept bit for
+    bit and whose width is derived from it."""
+    if not isinstance(alpha, ProbeSpec):
+        return ProbeSpec(alpha, gamma_for_energy(alpha, energy)), float(energy)
+    if energy is not None:
+        raise DomainError("give a ProbeSpec or an energy, not both")
+    return alpha, mean_energy(alpha)
+
+
 def _unit_integrand(alpha: int, weight, shift: float = 0.0):
     """(integrand, lo, hi) behind every probe quadrature: weight(u) P(u) for
     an even weight, u = t - shift, over the window of the unit-width probe

@@ -28,7 +28,7 @@ from .errors import DomainError, ResolutionError
 from .errors import require_finite, require_int, require_positive
 from .metrology import energy_bound, fisher_closed
 from .numerics import RngStream, sample_gamma
-from .probe import ProbeSpec, gamma_for_energy, mean_energy, validate_alpha
+from .probe import ProbeSpec, _stated, mean_energy
 
 __all__ = [
     "PosteriorGrid",
@@ -301,18 +301,20 @@ def posterior(
 
 @dataclass(frozen=True, eq=False)
 class TrialSummary:
-    """Aggregates of a repeated-trial estimation study.
+    """Aggregates of a repeated-trial estimation study of the probe of width
+    ``gamma`` and mean energy ``energy``.
 
     ``mles`` and ``posterior_variances`` are per-trial values (the latter is
-    None when the study skipped posteriors); ``mle_variance`` is the
-    empirical variance of the estimates across trials (None for a single
-    trial), and
-    ``posterior_to_bound_ratio`` compares the mean posterior variance to the
-    energy-constrained bound for the same parameters.
+    None when the study skipped posteriors, as is ``first_posterior``, trial
+    0's grid); ``mle_variance`` is the empirical variance of the estimates
+    across trials (None for a single trial), and ``posterior_to_bound_ratio``
+    compares the mean posterior variance to the energy-constrained bound for
+    the same parameters.
     """
 
     alpha: int
     energy: float
+    gamma: float
     repetitions: int
     chi_true: float
     trials: int
@@ -325,11 +327,12 @@ class TrialSummary:
     mean_posterior_variance: float | None
     energy_bound: float
     posterior_to_bound_ratio: float | None
+    first_posterior: PosteriorGrid | None
 
 
 def run_trials(
-    alpha: int,
-    energy: float,
+    alpha: int | ProbeSpec,
+    energy: float | None,
     n: int,
     chi: float,
     trials: int,
@@ -338,7 +341,8 @@ def run_trials(
     compute_posterior: bool = True,
     uniform_sampling: bool = False,
 ) -> TrialSummary:
-    """Run ``trials`` independent estimation experiments and aggregate them.
+    """Run ``trials`` independent estimation experiments on one probe, stated
+    as ``(alpha, energy)`` or as ``(ProbeSpec, None)``, and aggregate them.
 
     Trial j draws its samples from the stream (seed, stream_index=j), so the
     study is reproducible and order-independent.  ``compute_posterior=False``
@@ -346,27 +350,29 @@ def run_trials(
     where only the MLEs matter); ``uniform_sampling=True`` draws outcomes
     from the square-profile stand-in instead of the exact density.
     """
-    alpha = validate_alpha(alpha)
+    spec, energy = _stated(alpha, energy)
     trials = require_int("trials", trials, 1)
-    spec = ProbeSpec(alpha, gamma_for_energy(alpha, energy))
     sampler = draw_uniform if uniform_sampling else draw
 
     estimates = np.empty(trials)
     post_means = np.empty(trials) if compute_posterior else None
     post_vars = np.empty(trials) if compute_posterior else None
+    first_posterior = None
     for j in range(trials):
         samples = sampler(spec, chi, n, RngStream(seed, j))
         estimates[j] = mle(samples)
         if compute_posterior:
             grid = posterior(samples, grid_points, center=estimates[j])
-            post_means[j] = grid.mean
-            post_vars[j] = grid.variance
+            post_means[j], post_vars[j] = grid.mean, grid.variance
+            if j == 0:
+                first_posterior = grid
 
-    bound = energy_bound(alpha, energy, n)
+    bound = energy_bound(spec.alpha, energy, n)
     mean_post_var = float(post_vars.mean()) if compute_posterior else None
     return TrialSummary(
-        alpha=alpha,
-        energy=float(energy),
+        alpha=spec.alpha,
+        energy=energy,
+        gamma=spec.gamma,
         repetitions=int(n),
         chi_true=float(chi),
         trials=trials,
@@ -378,7 +384,6 @@ def run_trials(
         mle_variance=float(estimates.var(ddof=1)) if trials > 1 else None,
         mean_posterior_variance=mean_post_var,
         energy_bound=bound,
-        posterior_to_bound_ratio=(
-            mean_post_var / bound if compute_posterior else None
-        ),
+        posterior_to_bound_ratio=mean_post_var / bound if compute_posterior else None,
+        first_posterior=first_posterior,
     )

@@ -4,14 +4,29 @@ seeding and determinism."""
 import csv
 import json
 import math
+import random
 import subprocess
 import sys
 
 import pytest
 
-from qres import cli, metrology
+from qres import cli, metrology, simulate
 from qres.errors import AccuracyError
+from qres.numerics import RngStream
 from qres.probe import ProbeSpec, density, gamma_for_energy
+
+
+def _random_probes(count, seed=0):
+    """Even alpha in 2..200 and a width log-uniform in 1e-3..1e3; for about
+    two in three such pairs gamma_for_energy(alpha, mean_energy(spec)) is off
+    by an ulp from the width."""
+    rng = random.Random(seed)
+    return [
+        (2 * rng.randint(1, 100), 10.0 ** rng.uniform(-3.0, 3.0)) for _ in range(count)
+    ]
+
+
+RANDOM_PROBES = _random_probes(200)
 
 
 def run_cli(args, tmp_path, env=None):
@@ -276,6 +291,30 @@ class TestSimulateCommand:
             k: v for k, v in pinned.items() if k not in moved
         }
 
+    def test_gamma_is_the_width_sampled(self, capsys):
+        chi, n, seed = 0.25, 20, 11
+        for alpha, gamma in RANDOM_PROBES[:20]:
+            argv = ["simulate", "--alpha", str(alpha), "--gamma", repr(gamma)]
+            argv += ["--n", str(n), "--chi", str(chi), "--seed", str(seed)]
+            assert cli.main(argv) == 0
+            payload = json.loads(capsys.readouterr().out)
+            samples = simulate.draw(ProbeSpec(alpha, gamma), chi, n, RngStream(seed, 0))
+            assert (payload["gamma"], payload["mle"]) == (gamma, simulate.mle(samples))
+
+    def test_posterior_out_reuses_trial_0(self, monkeypatch, tmp_path, capsys):
+        streams = []
+        log_likelihood = simulate._log_likelihood
+
+        def counting(samples, grid):
+            streams.append(samples.stream_index)
+            return log_likelihood(samples, grid)
+
+        monkeypatch.setattr(simulate, "_log_likelihood", counting)
+        argv = ["simulate", "--alpha", "4", "--energy", "0.5", "--n", "10", "--seed", "5"]
+        argv += ["--trials", "3", "--posterior-out", str(tmp_path / "post.csv")]
+        assert cli.main(argv) == 0
+        assert streams == [0, 1, 2]
+
     def test_n_required_runs_no_repetitions_quadrature(self, monkeypatch, capsys):
         def no_quadrature(alpha, rel_tol):
             raise AssertionError("simulate ran the repetitions quadrature")
@@ -331,6 +370,14 @@ class TestBoundsCommand:
         payload = json.loads(out)
         assert payload["fisher"] == pytest.approx(4.0, rel=1e-12)
         assert payload["mean_energy"] == pytest.approx(0.25, rel=1e-12)
+
+    def test_gamma_is_the_width_reported(self, capsys):
+        reported = []
+        for alpha, gamma in RANDOM_PROBES:
+            argv = ["bounds", "--alpha", str(alpha), "--gamma", repr(gamma)]
+            assert cli.main(argv) == 0
+            reported.append(json.loads(capsys.readouterr().out)["gamma"])
+        assert reported == [gamma for _, gamma in RANDOM_PROBES]
 
 
 class TestOscillatorCommand:
@@ -435,6 +482,11 @@ class TestExitCodes:
             (["bounds", "--alpha", "2", "--energy", "1e308"], 2),
             (["oscillator", "--omega", "1e200", "--energy", "1e-200"], 2),
             (["oscillator", "--omega", "1e-200", "--energy", "1e200"], 0),
+            (
+                ["oscillator", "--omega", "1", "--energy", "1", "--chi", "0.05"]
+                + ["--n-level", str(10**156)],
+                0,
+            ),
         ],
     )
     def test_extreme_floats_give_strict_json_or_exit_2(self, argv, code, capsys):
@@ -470,6 +522,23 @@ class TestDeterminism:
                 "4",
                 "--energy",
                 "0.5",
+                "--n",
+                "10",
+                "--trials",
+                "3",
+                "--seed",
+                "5",
+                "--out",
+                "det.json",
+                "--posterior-out",
+                "det_post.csv",
+            ],
+            [
+                "simulate",
+                "--alpha",
+                "4",
+                "--gamma",
+                "2.5",
                 "--n",
                 "10",
                 "--trials",

@@ -145,6 +145,12 @@ OVERFLOW_CASES = {
     "ho_energy_bound omega^2 / energy": lambda: ho_energy_bound(
         HOBoundInput(1e150, 1e-100, 1)
     ),
+    "crb n 10**400": lambda: crb(1.0, 10**400),
+    "energy_bound n 10**400": lambda: energy_bound(2, 1.0, 10**400),
+    "ho_energy_bound repetitions 10**400": lambda: ho_energy_bound(
+        HOBoundInput(1.0, 1.0, 10**400)
+    ),
+    "NumberShiftModel n_level 10**400": lambda: NumberShiftModel(10**400, 0.05),
 }
 
 

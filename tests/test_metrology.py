@@ -85,6 +85,8 @@ class TestCrb:
     def test_values(self):
         assert crb(4.0, 1) == 0.25
         assert crb(4.0, 100) == pytest.approx(2.5e-3, rel=1e-15)
+        # n * fisher overflows, the floor does not
+        assert crb(1e308, 10) == 1e-309
 
     def test_matches_error_propagation_for_gaussian(self):
         energy = 1.0 / 3.0
@@ -96,6 +98,8 @@ class TestCrb:
             crb(-1.0, 10)
         with pytest.raises(DomainError):
             crb(4.0, 0)
+        with pytest.raises(DomainError, match="crb underflows a float"):
+            crb(1e308, 10**300)
 
 
 class TestEnergyBound:
@@ -333,6 +337,13 @@ class TestBoundReport:
         assert report.energy_bound == report.error_prop_bound
         assert report.energy_bound == pytest.approx(6.667e-3, rel=1e-3)
         assert report.uncertainty_product == 1.0
+
+    def test_probe_spec_form_is_the_energy_form_where_the_round_trip_is_exact(self):
+        spec = ProbeSpec(20, gamma_for_energy(20, 1.0 / 3.0))
+        assert mean_energy(spec) == 1.0 / 3.0
+        assert bound_report(spec, None, 50) == bound_report(20, 1.0 / 3.0, 50)
+        with pytest.raises(DomainError, match="not both"):
+            bound_report(spec, 1.0 / 3.0, 50)
 
     def test_reference_parameters(self):
         report = bound_report(20, 1.0 / 3.0, 50)

@@ -141,7 +141,7 @@ class TestNumberShiftFisher:
 
     def test_leading_order_band(self):
         # |exact * chi (n+1) - 1| <= 2 chi across the valid rectangle
-        for n_level in (0, 1, 3, 10, 100):
+        for n_level in (0, 1, 3, 10, 100, 10**156):
             for chi in (1e-3, 0.01, 0.05, 0.1):
                 fisher = number_shift_fisher(NumberShiftModel(n_level, chi))
                 product = fisher.exact * chi * (n_level + 1)

@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 from qres.errors import DomainError, ResolutionError
 from qres.metrology import crb, fisher_closed
 from qres.numerics import RngStream
-from qres.probe import ProbeSpec, gamma_for_energy
+from qres.probe import ProbeSpec, gamma_for_energy, mean_energy
 from qres.simulate import (
     _LIKELIHOOD_BLOCK_CELLS,
     SampleSet,
+    TrialSummary,
     _log_likelihood,
     draw,
     draw_uniform,
@@ -322,6 +323,7 @@ class TestRunTrials:
         )
         assert summary.mle_variance == pytest.approx((1.0 / 3.0) / 100.0, rel=0.10)
         assert summary.posterior_variances is None
+        assert summary.first_posterior is None
         assert summary.posterior_to_bound_ratio is None
 
     def test_estimator_variance_respects_the_crb(self):
@@ -367,6 +369,25 @@ class TestRunTrials:
         assert single.mles.shape == (1,)
         assert single.mle_variance is None
         assert single.mean_posterior_variance == single.posterior_variances[0]
+
+    def test_probe_spec_form_is_the_energy_form_where_the_round_trip_is_exact(self):
+        spec = ProbeSpec(20, gamma_for_energy(20, 1.0 / 3.0))
+        assert mean_energy(spec) == 1.0 / 3.0
+        by_energy = run_trials(20, 1.0 / 3.0, 50, 0.2, 4, 7)
+        by_spec = run_trials(spec, None, 50, 0.2, 4, 7)
+        for field in dataclasses.fields(TrialSummary):
+            if field.name != "first_posterior":
+                a, b = getattr(by_spec, field.name), getattr(by_energy, field.name)
+                assert np.array_equal(a, b), field.name
+        first, first_by_energy = by_spec.first_posterior, by_energy.first_posterior
+        for name in ("grid", "log_weights", "mean", "variance", "map_estimate"):
+            assert np.array_equal(getattr(first, name), getattr(first_by_energy, name))
+        assert (first.mean, first.variance) == (
+            by_spec.posterior_means[0],
+            by_spec.posterior_variances[0],
+        )
+        with pytest.raises(DomainError, match="not both"):
+            run_trials(spec, 1.0 / 3.0, 50, 0.2, 4, 7)
 
 
 # run_trials outputs recorded when the MLE was a golden-section search on
