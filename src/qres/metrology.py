@@ -35,7 +35,6 @@ from .probe import (
     ProbeSpec,
     _exp,
     _log_moment,
-    _scaled_power,
     _stated,
     _unit_integrand,
     position_variance,
@@ -97,9 +96,7 @@ def fisher_numeric(spec: ProbeSpec, chi: float = 0.0, rel_tol: float = 1e-8) -> 
     a, shift = spec.alpha, require_finite("chi", chi) / spec.gamma
     if not abs(shift) <= _SHIFT_MAX:
         raise DomainError(f"|chi|/gamma = {abs(shift):g} is above {_SHIFT_MAX:g}")
-    integrand, lo, hi = _unit_integrand(
-        a, lambda u: _scaled_power(u, 1.0, 2 * a - 2), shift
-    )
+    integrand, lo, hi = _unit_integrand(a, lambda power: power(2 * a - 2), shift)
     integral = integrate(integrand, lo, hi, rel_tol, initial_panels=32)
     return _exp(2.0 * (math.log(2.0 * a) - math.log(spec.gamma)) + math.log(integral))
 
@@ -211,9 +208,9 @@ def _repetitions_integral(alpha: int, rel_tol: float) -> float:
     integrand limit there is 0.
     """
 
-    def weight(u):
-        l1_squared = 4.0 * alpha * alpha * _scaled_power(u, 1.0, 2 * alpha - 2)
-        l2 = -2.0 * alpha * (alpha - 1.0) * _scaled_power(u, 1.0, alpha - 2)
+    def weight(power):
+        l1_squared = 4.0 * alpha * alpha * power(2 * alpha - 2)
+        l2 = -2.0 * alpha * (alpha - 1.0) * power(alpha - 2)
         return (l2 + l1_squared) ** 2 - l1_squared**2 / 3.0
 
     integrand, lo, hi = _unit_integrand(alpha, weight)

@@ -9,7 +9,6 @@ caller, so results never depend on execution order or parallel scheduling.
 
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
@@ -149,18 +148,6 @@ _W_GAUSS[1:14:2] = np.concatenate(
 _EVALS_PER_PANEL = 15
 
 
-def _panels(f, lows: np.ndarray, highs: np.ndarray):
-    """Kronrod estimates and |Kronrod - Gauss| error surrogates of a batch of
-    panels, from one call of ``f`` on the nodes of all of them."""
-    centers = 0.5 * (lows + highs)
-    halves = 0.5 * (highs - lows)
-    nodes = centers[:, None] + halves[:, None] * _NODES
-    values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    kronrod = halves * (values @ _W_KRONROD)
-    gauss = halves * (values @ _W_GAUSS)
-    return kronrod, np.abs(kronrod - gauss)
-
-
 def integrate(
     f,
     lo: float,
@@ -173,21 +160,26 @@ def integrate(
 ) -> float:
     """Globally adaptive Gauss-Kronrod quadrature of ``f`` over [lo, hi].
 
-    Each round splits the worst eighth of the panels (at least one), ranked by
-    their |Kronrod - Gauss| error surrogates; subdivision stops once the
-    summed surrogate is below ``max(abs_tol, rel_tol * |I|)``.
+    The panels live in four arrays: lower and upper edges, Kronrod estimates
+    and |Kronrod - Gauss| error surrogates.  Each round halves the worst
+    eighth of them (at least one), largest surrogate first and ties by lower,
+    then upper edge; subdivision stops once the summed surrogate is below
+    ``max(abs_tol, rel_tol * |I|)``.
 
     Integrand contract: ``f`` receives one flat 1-D array holding the 15
-    nodes of every panel in a batch (many panels per call) and must return
-    the same-shaped array of values, computed elementwise, so that a value
-    depends only on its own node.  It must be finite on the interval.
+    nodes of every panel new in a round (many panels per call) and must
+    return the same-shaped array of values, computed elementwise, so that a
+    value depends only on its own node.  A non-finite value, and a panel
+    estimate or total that overflows a float, raise :class:`DomainError` in
+    the round where they occur.
 
     Parameters
     ----------
     f : callable
         Elementwise vectorized integrand.
     lo, hi : float
-        Integration limits, ``lo < hi``, both finite.
+        Integration limits, ``lo < hi``, both finite; 2 max(|lo|, |hi|) must
+        be a float too, so that the nodes can be formed.
     rel_tol : float
         Requested relative accuracy.
     abs_tol : float
@@ -203,6 +195,8 @@ def integrate(
     lo, hi = require_finite("lo", lo), require_finite("hi", hi)
     if not lo < hi:
         raise DomainError(f"invalid integration interval [{lo}, {hi}]")
+    if not math.isfinite(2.0 * max(-lo, hi)):
+        raise DomainError(f"integration interval [{lo!r}, {hi!r}] overflows a float")
     rel_tol = require_positive("rel_tol", rel_tol)
     abs_tol = require_finite("abs_tol", abs_tol)
     if abs_tol < 0.0:
@@ -212,16 +206,32 @@ def integrate(
 
     edges = np.linspace(lo, hi, initial_panels + 1)
     lows, highs = edges[:-1], edges[1:]
-    heap = []  # (-error, lo, hi, estimate) so the worst panel pops first
+    estimates = errors = np.empty(0)  # of the leading panels; the rest are new
     evals = 0
     while True:
-        estimates, errors = _panels(f, lows, highs)
-        evals += lows.size * _EVALS_PER_PANEL
-        for item in zip(*(a.tolist() for a in (-errors, lows, highs, estimates))):
-            heapq.heappush(heap, item)
+        new_lows, new_highs = lows[estimates.size :], highs[estimates.size :]
+        halves = 0.5 * (new_highs - new_lows)
+        nodes = 0.5 * (new_lows + new_highs)[:, None] + halves[:, None] * _NODES
+        values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+        evals += nodes.size
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            kronrod = halves * (values @ _W_KRONROD)
+            error = np.abs(kronrod - halves * (values @ _W_GAUSS))
+        # every Kronrod weight is positive, so a non-finite value makes its
+        # panel's kronrod, and with it the error, non-finite too
+        if not np.isfinite(error).all():
+            bad = nodes[~np.isfinite(values)]
+            if bad.size:
+                raise DomainError(f"integrand is not finite at x = {float(bad[0])}")
+            raise DomainError("a quadrature panel estimate overflows a float")
+        estimates = np.concatenate([estimates, kronrod])
+        errors = np.concatenate([errors, error])
         # exact compensated totals; cheap relative to the 15-point panels
-        total = math.fsum(item[3] for item in heap)
-        total_error = math.fsum(-item[0] for item in heap)
+        try:
+            total = math.fsum(estimates.tolist())
+            total_error = math.fsum(errors.tolist())
+        except OverflowError:
+            raise DomainError("the quadrature total overflows a float") from None
         if total_error <= max(abs_tol, rel_tol * abs(total)):
             return total
         if evals + 2 * _EVALS_PER_PANEL > max_evals:
@@ -231,15 +241,17 @@ def integrate(
                 best_estimate=total,
                 error_estimate=total_error,
             )
-        # split the worst panels in bulk, within the budget, so the O(panels)
-        # totals above are not recomputed per split; all their halves form
-        # the next batch
+        # halve the worst panels in bulk, within the budget, so the O(panels)
+        # totals above are not recomputed per split; the next batch is their
+        # left halves, then their right halves, worst first
         budget = (max_evals - evals) // (2 * _EVALS_PER_PANEL)
-        splits = min(max(1, len(heap) // 8), budget)
-        worst = np.array([heapq.heappop(heap)[1:3] for _ in range(splits)])
-        mids = 0.5 * (worst[:, 0] + worst[:, 1])
-        lows = np.concatenate([worst[:, 0], mids])
-        highs = np.concatenate([mids, worst[:, 1]])
+        splits = min(max(1, lows.size // 8), budget)
+        order = np.lexsort((highs, lows, -errors))  # -errors is the primary key
+        worst, keep = order[:splits], order[splits:]
+        mids = 0.5 * (lows[worst] + highs[worst])
+        lows = np.concatenate([lows[keep], lows[worst], mids])
+        highs = np.concatenate([highs[keep], mids, highs[worst]])
+        estimates, errors = estimates[keep], errors[keep]
 
 
 # ---------------------------------------------------------------------------

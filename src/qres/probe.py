@@ -96,17 +96,12 @@ def _log_prefactor(spec: ProbeSpec) -> float:
     )
 
 
-def _scaled_power(p, gamma: float, k: float) -> np.ndarray:
-    """|p/gamma|^k for k > 0, formed as exp(k ln|p/gamma|) with the exponent
-    capped at _EXP_CLIP, so it never overflows; 0 at p = 0."""
-    t = np.abs(np.asarray(p, dtype=float)) / gamma
-    with np.errstate(divide="ignore"):
-        return np.exp(np.minimum(k * np.log(t), _EXP_CLIP))
-
-
 def log_density(spec: ProbeSpec, p):
     """Natural log of the momentum density at ``p`` (scalar or array)."""
-    result = _log_prefactor(spec) - 2.0 * _scaled_power(p, spec.gamma, spec.alpha)
+    t = np.abs(np.asarray(p, dtype=float)) / spec.gamma
+    with np.errstate(divide="ignore"):  # ln 0 = -inf gives 0^alpha = 0
+        power = np.exp(np.minimum(spec.alpha * np.log(t), _EXP_CLIP))
+    result = _log_prefactor(spec) - 2.0 * power
     return float(result) if np.isscalar(p) else result
 
 
@@ -169,17 +164,23 @@ def _stated(alpha, energy) -> tuple[ProbeSpec, float]:
 
 
 def _unit_integrand(alpha: int, weight, shift: float = 0.0):
-    """(integrand, lo, hi) behind every probe quadrature: weight(u) P(u) for
-    an even weight, u = t - shift, over the window of the unit-width probe
-    centred at ``shift``; O(1) at any width, so callers rescale in the log
-    domain."""
+    """(integrand, lo, hi) behind every probe quadrature: weight(power) P(u),
+    u = t - shift, over the window of the unit-width probe centred at
+    ``shift``; O(1) at any width, so callers rescale in the log domain.  ln|u|
+    is taken once per node, and power(k) forms |u|^k (k > 0) from it, for the
+    even weight and the density alike, as exp(k ln|u|) capped at _EXP_CLIP."""
     unit = ProbeSpec(alpha, 1.0)
     window = truncation_window(unit)
     log_prefactor = _log_prefactor(unit)
 
     def integrand(t):
-        u = t - shift
-        return weight(u) * np.exp(log_prefactor - 2.0 * _scaled_power(u, 1.0, alpha))
+        with np.errstate(divide="ignore"):  # ln 0 = -inf gives 0^k = 0
+            log_u = np.log(np.abs(t - shift))
+
+        def power(k):
+            return np.exp(np.minimum(k * log_u, _EXP_CLIP))
+
+        return weight(power) * np.exp(log_prefactor - 2.0 * power(alpha))
 
     return integrand, shift - window, shift + window
 
@@ -196,7 +197,7 @@ def position_variance(spec: ProbeSpec, rel_tol: float = 1e-8) -> float:
     at unit width and is rescaled by (alpha/gamma)^2 in the log domain.
     """
     a = spec.alpha
-    integrand, lo, hi = _unit_integrand(a, lambda u: _scaled_power(u, 1.0, 2 * a - 2))
+    integrand, lo, hi = _unit_integrand(a, lambda power: power(2 * a - 2))
     integral = integrate(integrand, lo, hi, rel_tol, initial_panels=32)
     return _exp(2.0 * (math.log(a) - math.log(spec.gamma)) + math.log(integral))
 

@@ -3,6 +3,7 @@ bad argument raises DomainError, never a bare TypeError or ValueError, and
 is never silently converted."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,27 @@ def _integrand(x):
     return x * x
 
 
+def _constant(value):
+    return lambda x: np.full_like(x, value)
+
+
+# (f, lo, hi, calls of f before the DomainError): each of these warned, spent
+# the whole budget, or raised a bare ValueError or OverflowError
+INTEGRATE_OVERFLOWS = {
+    "integrate over [-1e308, 1e308]": (lambda x: np.exp(-x * x), -1e308, 1e308, 0),
+    "integrate panel estimate 1e308 * 10": (_constant(1e308), 0.0, 10.0, 1),
+    "integrate total 1e307 * 100": (_constant(1e307), 0.0, 100.0, 1),
+}
+INTEGRATE_NON_FINITE = {
+    "integrate f nan": (_constant(NAN), 0.0, 1.0, 1),
+    "integrate f -inf, inf": (lambda x: np.where(x < 0.0, -INF, INF), -1.0, 1.0, 1),
+}
+
+
+def _integrate_calls(cases):
+    return {name: lambda c=case: integrate(*c[:3]) for name, case in cases.items()}
+
+
 # each of these was accepted, converted, or raised a bare TypeError/ValueError
 PUBLIC_CASES = {
     "RngStream seed True": lambda: RngStream(True),
@@ -95,6 +117,7 @@ PUBLIC_CASES = {
     "ProbeSpec gamma 'x'": lambda: ProbeSpec(2, "x"),
     "energy_bound energy 'abc'": lambda: energy_bound(2, "abc", 3),
     "HOBoundInput omega None": lambda: HOBoundInput(None, 1.0, 1),
+    **_integrate_calls(INTEGRATE_NON_FINITE),
 }
 
 
@@ -151,6 +174,7 @@ OVERFLOW_CASES = {
         HOBoundInput(1.0, 1.0, 10**400)
     ),
     "NumberShiftModel n_level 10**400": lambda: NumberShiftModel(10**400, 0.05),
+    **_integrate_calls(INTEGRATE_OVERFLOWS),
 }
 
 
@@ -158,6 +182,25 @@ OVERFLOW_CASES = {
 def test_float_overflow_raises_domain_error(case):
     with pytest.raises(DomainError, match="overflows a float"):
         OVERFLOW_CASES[case]()
+
+
+INTEGRATE_DEFECTS = {**INTEGRATE_OVERFLOWS, **INTEGRATE_NON_FINITE}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGRATE_DEFECTS))
+def test_integrate_refuses_in_the_first_round_without_warning(case):
+    f, lo, hi, batches = INTEGRATE_DEFECTS[case]
+    calls = []
+
+    def counting(x):
+        calls.append(x.size)
+        return f(x)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            integrate(counting, lo, hi)
+    assert len(calls) == batches
 
 
 def test_width_fits_where_energy_over_m2_would_overflow():

@@ -5,6 +5,7 @@ for every closed form of the probe family, the quadrature route against the
 closed forms, and hand-checked special cases of the Gaussian probe.
 """
 
+import hashlib
 import math
 import time
 import warnings
@@ -313,6 +314,28 @@ class TestPinnedQuadratures:
         assert repetitions_required(alpha).quadrature == pytest.approx(
             _PINNED_REPETITIONS[alpha], rel=1e-12
         )
+
+
+# SHA-256 of float.hex of every field of bound_report(alpha, energy, 50) and
+# of fisher_numeric at chi = 0.7 gamma, for every even alpha at three
+# energies, recorded from the heap-ordered quadrature loop.  The pins above
+# hold to 1e-12; this one holds bit for bit.  Like the sampler digests, it
+# depends on numpy's exp and log.
+_REPORT_ENERGIES = (1e-250, 1.0 / 3.0, 1e250)
+_REPORT_SHA256 = "425a7f87517ff7f661eb7e34c40b8de46e1fa0b746adf203b222f36f11d2b915"
+
+
+def test_reports_and_fisher_quadrature_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for alpha in range(2, 202, 2):
+        for energy in _REPORT_ENERGIES:
+            report = bound_report(alpha, energy, 50)
+            spec = ProbeSpec(alpha, report.gamma)
+            values = [*report.to_dict().values(), fisher_numeric(spec, 0.7 * spec.gamma)]
+            for value in values:
+                text = value.hex() if isinstance(value, float) else str(value)
+                digest.update(text.encode() + b",")
+    assert digest.hexdigest() == _REPORT_SHA256
 
 
 class TestScenarios:

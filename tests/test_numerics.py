@@ -116,6 +116,84 @@ class TestIntegrate:
             integrate(lambda x: x, 0.0, math.inf, 1e-8)
 
 
+# Runs of the heap-ordered loop that preceded the panel arrays: the result,
+# or the AccuracyError payload, as float.hex; the panels per call of f; and a
+# SHA-256 of the nodes handed to f, which pins the panels split in each round.
+# The constant integrand gives every panel of one width the same error
+# surrogate, so its splits follow the tie order (lower edge first).
+_INTEGRATE_CASES = {
+    "gaussian": (lambda x: np.exp(-x * x), -6.0, 6.0, {"rel_tol": 1e-12}),
+    "odd with abs_tol": (
+        lambda x: x * np.exp(-x * x),
+        -5.0,
+        5.0,
+        {"rel_tol": 1e-10, "abs_tol": 1e-12},
+    ),
+    "kink": (
+        lambda x: np.abs(x - 0.3) ** 1.5,
+        -1.0,
+        2.0,
+        {"rel_tol": 1e-13, "initial_panels": 3},
+    ),
+    "spike over budget": (
+        lambda x: np.exp(-((1000.0 * x) ** 2)),
+        -1.0,
+        1.0,
+        {"rel_tol": 1e-12, "max_evals": 600, "initial_panels": 1},
+    ),
+    "constant, tied errors": (
+        np.ones_like,
+        0.0,
+        3.0,
+        {"rel_tol": 1e-300, "max_evals": 2000, "initial_panels": 5},
+    ),
+}
+_INTEGRATE_PINS = {
+    "gaussian": (
+        ("0x1.c5bf891b4ef6ap+0",),
+        [8, 2, 2, 2, 2],
+        "b63ce0baca9ad1fdaa39fa3725c247114ded650db3918e0e0c34aea3ee4bbb5b",
+    ),
+    "odd with abs_tol": (
+        ("0x1.efffe00000000p-55",),
+        [8, 2, 2, 2, 2],
+        "68bc8a0a9af86e0da9f4de922145c103431cc082230dc64729273106578e7d09",
+    ),
+    "kink": (
+        ("0x1.239571c921de1p+1",),
+        [3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 4, 4, 4, 4],
+        "235fba2849b040d35bb87640413ce563d5ac8b83795db1c302c33b40fabae0c7",
+    ),
+    "spike over budget": (
+        ("0x1.d0a35e1bf00f1p-10", "0x1.14ddcfab3a580p-20"),
+        [1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 4, 4],
+        "681e8d298be674a1a678c3b69892f2ea616c24f83d08fea1622d17cb8df9d971",
+    ),
+    "constant, tied errors": (
+        ("0x1.8000000000000p+1", "0x1.4000000000000p-51"),
+        [5, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 4, 4, 4, 4, 6, 6, 6, 8, 8, 10, 10, 12, 14, 10],
+        "ab703f5656ce1eaa8bb62c80d52d6a62523e029d801d22d30becba9090bac322",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGRATE_CASES))
+def test_integrate_matches_the_pinned_runs(name):
+    f, lo, hi, options = _INTEGRATE_CASES[name]
+    batches, nodes = [], hashlib.sha256()
+
+    def recording(x):
+        batches.append(x.size // 15)
+        nodes.update(np.ascontiguousarray(x, dtype="<f8").tobytes())
+        return f(x)
+
+    try:
+        result = (integrate(recording, lo, hi, **options).hex(),)
+    except AccuracyError as err:
+        result = (err.best_estimate.hex(), err.error_estimate.hex())
+    assert (result, batches, nodes.hexdigest()) == _INTEGRATE_PINS[name]
+
+
 class TestRngStream:
     def test_identical_identifiers_reproduce_bit_exactly(self):
         a = RngStream(123, 7).uniforms(1000)
