@@ -297,7 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", type=float, default=0.0, help="true signal value")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
+    p.add_argument(
+        "--grid-points",
+        type=int,
+        default=DEFAULT_GRID_POINTS,
+        help="starting (and smallest) posterior grid, odd and >= 101; it doubles "
+        "until the posterior variance converges to 1e-12",
+    )
     p.add_argument(
         "--uniform-sampling",
         action="store_true",

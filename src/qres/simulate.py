@@ -8,7 +8,9 @@ a flat prior,
 
     posterior(x) ~ exp( -2 sum_j |(p_j - x) / gamma|^alpha ),
 
-on a uniform grid centered at the estimate.  Repeated-trial studies compare
+on a uniform grid over the window where the log-likelihood stays within 40
+nats of its value at the estimate, doubled until the posterior variance
+converges.  Repeated-trial studies compare
 the empirical estimator variance and the mean posterior variance against the
 energy-constrained bound.
 
@@ -41,10 +43,30 @@ __all__ = [
     "run_trials",
 ]
 
-# Grid half-width in units of the Cramer-Rao standard deviation 1/sqrt(N F):
-# 8 predicted sigmas leave under 1e-14 truncated mass for a near-Gaussian
-# posterior.
+# Starting half-width of the posterior window in units of the Cramer-Rao
+# standard deviation 1/sqrt(N F).  Each side then widens by _WINDOW_GROWTH
+# until the log-likelihood at its edge lies _WINDOW_DROP nats below its value
+# at the center: unless N >> repetitions_required the posterior can be much
+# wider than 8 predicted sigmas (2.25x at alpha = 200, N = 20, E = 1/3).
 _GRID_SIGMAS = 8.0
+_WINDOW_GROWTH = 1.5
+_WINDOW_DROP = 40.0
+
+# The grid doubles until the variance from every other point agrees with the
+# full grid's to _GRID_RTOL.  With both ends e^-40 below the peak the
+# trapezoid rule converges geometrically, so 101 to 1601 points suffice from
+# alpha = 2 to 200 at N >= 20; the cap stops a grid that cannot resolve the
+# posterior, such as an explicit half-width far wider than it.
+_GRID_RTOL = 1e-12
+_GRID_MAX_POINTS = 2**16 + 1
+
+# The summed log-likelihood L carries a rounding error of order eps * |L|,
+# which no grid refines away: at alpha = 2 and N = 1e6 it holds the two
+# variances up to 2.2 eps |L| apart on every grid up to 3201 points, and with
+# _GRID_RTOL alone the grid ran to the cap from N = 2e5.  So the tolerance
+# never falls below this multiple of |L| at the peak; |L| is about N / alpha,
+# so that floor passes _GRID_RTOL only beyond N of about 560 alpha.
+_LIKELIHOOD_ROUNDING = 8.0 * np.finfo(float).eps
 
 _MLE_TOL_FACTOR = 1e-10
 
@@ -83,7 +105,9 @@ class PosteriorGrid:
     """Discretized signal posterior with its summary statistics.
 
     ``log_weights`` is the normalized log-density on ``grid``: the trapezoid
-    integral of exp(log_weights) over the grid is 1.
+    integral of exp(log_weights) over the grid is 1.  ``variance_error`` is
+    the grid's own error estimate: the relative difference between
+    ``variance`` and the variance from every other grid point.
     """
 
     grid: np.ndarray
@@ -91,6 +115,7 @@ class PosteriorGrid:
     mean: float
     variance: float
     map_estimate: float
+    variance_error: float
 
     @property
     def density(self) -> np.ndarray:
@@ -241,61 +266,97 @@ def _trapezoid(values: np.ndarray, dx: float) -> float:
     return float(dx * (values.sum() - 0.5 * (values[0] + values[-1])))
 
 
+def _moments(grid: np.ndarray, weights: np.ndarray, dx: float) -> tuple:
+    """Trapezoid normalization, mean and variance of unnormalized weights."""
+    norm = _trapezoid(weights, dx)
+    density = weights / norm
+    mean = _trapezoid(grid * density, dx)
+    return norm, mean, _trapezoid((grid - mean) ** 2 * density, dx)
+
+
 def posterior(
     samples: SampleSet,
-    grid_points: int = 2001,
+    grid_points: int = 101,
     half_width: float | None = None,
     center: float | None = None,
 ) -> PosteriorGrid:
-    """Signal posterior under a flat prior, on a uniform grid centered at the
+    """Signal posterior under a flat prior, on a uniform grid around the
     maximum-likelihood estimate (``center``, computed when not given).
 
-    The default half-width is 8/sqrt(N F) with F the closed-form Fisher
-    information, i.e. eight Cramer-Rao standard deviations.  The grid density
-    is normalized by the trapezoid rule; mean, variance and the maximum are
+    The window starts at eight Cramer-Rao standard deviations, 8/sqrt(N F)
+    with F the closed-form Fisher information, on each side of ``center``.
+    Each side then widens by 1.5x until the log-likelihood at its edge lies
+    at least 40 nats below its value at ``center``; the log-likelihood is
+    concave, so the posterior beyond either edge is below e^-40 of its peak.
+    An explicit ``half_width`` is used as given.
+
+    ``grid_points`` (odd, at least 101) is the starting and smallest grid.
+    While the variance from every other point differs from the full grid's
+    by more than 1e-12 relative, the grid doubles: only the new midpoints
+    are evaluated, so no likelihood value is computed twice.  At large N the
+    tolerance rises to 8 eps |L|, the rounding of the summed log-likelihood
+    L at its peak, which no finer grid removes.  The density is
+    normalized by the trapezoid rule; mean, variance and the maximum are
     computed from the normalized grid, not from a Gaussian fit.
 
-    Raises :class:`ResolutionError` when essentially all mass falls into a
-    single cell, in which case more grid points (or a narrower window) are
-    needed.
+    Raises :class:`ResolutionError` when the grid would pass 65537 points
+    before the variance converges (as when essentially all mass falls into
+    a single cell of too wide a window), or when the variance degenerates.
     """
-    if require_int("grid_points", grid_points, 101) % 2 == 0:
+    points = require_int("grid_points", grid_points, 101)
+    if points % 2 == 0:
         raise DomainError(f"grid_points must be odd, got {grid_points!r}")
     center = mle(samples) if center is None else require_finite("center", center)
     if half_width is None:
-        half_width = _GRID_SIGMAS / math.sqrt(samples.n * fisher_closed(samples.spec))
+        start = _GRID_SIGMAS / math.sqrt(samples.n * fisher_closed(samples.spec))
+        offsets = np.array([-start, start])
+        probes = _log_likelihood(samples, center + np.array([0.0, -start, start]))
+        at_center, edges = probes[0], probes[1:]
+        # a NaN edge compares False and stops widening its side
+        while (shallow := edges > at_center - _WINDOW_DROP).any():
+            offsets[shallow] *= _WINDOW_GROWTH
+            edges[shallow] = _log_likelihood(samples, center + offsets[shallow])
+        lo, hi = center + offsets
     else:
         half_width = require_positive("half_width", half_width)
+        lo, hi = center - half_width, center + half_width
 
-    grid = np.linspace(center - half_width, center + half_width, int(grid_points))
-    dx = grid[1] - grid[0]
+    grid = np.linspace(lo, hi, points)
     log_w = _log_likelihood(samples, grid)
-    peak = log_w.max()
-    weights = np.exp(log_w - peak)
+    while True:
+        dx = grid[1] - grid[0]
+        peak = log_w.max()
+        weights = np.exp(log_w - peak)
+        norm, mean, variance = _moments(grid, weights, dx)
+        if np.count_nonzero(weights / norm * dx > 1e-12) >= 3:
+            if not variance > 0.0:
+                raise ResolutionError("degenerate posterior variance on this grid")
+            coarse = _moments(grid[::2], weights[::2], 2.0 * dx)[2]
+            error = abs(coarse - variance) / variance
+            if error <= max(_GRID_RTOL, _LIKELIHOOD_ROUNDING * abs(peak)):
+                break
+        points = 2 * points - 1
+        if points > _GRID_MAX_POINTS:
+            raise ResolutionError(
+                f"posterior not resolved on {_GRID_MAX_POINTS} grid points: its "
+                "mass falls into fewer than 3 cells or its variance has not "
+                "converged; reduce half_width"
+            )
+        # linspace steps by (hi - lo) / (points - 1), exactly half the old
+        # step, so the even points of the finer grid are the old grid
+        grid = np.linspace(lo, hi, points)
+        finer = np.empty(points)
+        finer[::2] = log_w
+        finer[1::2] = _log_likelihood(samples, grid[1::2])
+        log_w = finer
 
-    norm = _trapezoid(weights, dx)
-    density = weights / norm
-    occupied = int(np.count_nonzero(density * dx > 1e-12))
-    if occupied < 3:
-        raise ResolutionError(
-            "posterior mass collapses into a single grid cell; increase "
-            "grid_points or reduce half_width"
-        )
-
-    mean = _trapezoid(grid * density, dx)
-    variance = _trapezoid((grid - mean) ** 2 * density, dx)
-    if not variance > 0.0:
-        raise ResolutionError(
-            "degenerate posterior variance on this grid; increase grid_points"
-        )
-    log_weights = log_w - peak - math.log(norm)
-    map_estimate = float(grid[int(np.argmax(log_w))])
     return PosteriorGrid(
         grid=grid,
-        log_weights=log_weights,
+        log_weights=log_w - peak - math.log(norm),
         mean=mean,
         variance=variance,
-        map_estimate=map_estimate,
+        map_estimate=float(grid[int(np.argmax(log_w))]),
+        variance_error=error,
     )
 
 
@@ -337,7 +398,7 @@ def run_trials(
     chi: float,
     trials: int,
     seed: int,
-    grid_points: int = 2001,
+    grid_points: int = 101,
     compute_posterior: bool = True,
     uniform_sampling: bool = False,
 ) -> TrialSummary:
@@ -345,10 +406,14 @@ def run_trials(
     as ``(alpha, energy)`` or as ``(ProbeSpec, None)``, and aggregate them.
 
     Trial j draws its samples from the stream (seed, stream_index=j), so the
-    study is reproducible and order-independent.  ``compute_posterior=False``
-    skips the posterior grids (useful for large estimator-variance studies
-    where only the MLEs matter); ``uniform_sampling=True`` draws outcomes
-    from the square-profile stand-in instead of the exact density.
+    study is reproducible and order-independent.  Each trial's posterior is
+    :func:`posterior` centered at its MLE: a window that widens until the
+    log-likelihood falls 40 nats at both edges, on a grid that starts at
+    ``grid_points`` and doubles, up to 65537 points, until its variance
+    converges to 1e-12 relative.  ``compute_posterior=False`` skips the
+    posterior grids (useful for large estimator-variance studies where only
+    the MLEs matter); ``uniform_sampling=True`` draws outcomes from the
+    square-profile stand-in instead of the exact density.
     """
     spec, energy = _stated(alpha, energy)
     trials = require_int("trials", trials, 1)

@@ -313,7 +313,11 @@ class TestSimulateCommand:
         argv = ["simulate", "--alpha", "4", "--energy", "0.5", "--n", "10", "--seed", "5"]
         argv += ["--trials", "3", "--posterior-out", str(tmp_path / "post.csv")]
         assert cli.main(argv) == 0
-        assert streams == [0, 1, 2]
+        # each posterior probes its window edges and may refine its grid, so
+        # a trial calls the likelihood more than once; none for trial 0 may
+        # come after trial 1 has started
+        assert streams == sorted(streams)
+        assert set(streams) == {0, 1, 2}
 
     def test_n_required_runs_no_repetitions_quadrature(self, monkeypatch, capsys):
         def no_quadrature(alpha, rel_tol):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from qres.errors import DomainError, ResolutionError
 from qres.metrology import crb, fisher_closed
 from qres.numerics import RngStream
+from qres import simulate
 from qres.probe import ProbeSpec, gamma_for_energy, mean_energy
 from qres.simulate import (
     _LIKELIHOOD_BLOCK_CELLS,
@@ -315,6 +316,71 @@ class TestPosterior:
         with pytest.raises(DomainError):
             posterior(samples, grid_points=grid_points)
 
+    def test_a_converged_starting_grid_is_kept(self):
+        # the inputs of `qres simulate --posterior-out`, whose CSV keeps 2001 rows
+        spec = ProbeSpec(4, gamma_for_energy(4, 0.5))
+        samples = draw(spec, 0.0, 10, RngStream(1, 0))
+        grid = posterior(samples, grid_points=2001)
+        assert grid.grid.size == 2001
+        assert grid.variance_error <= 1e-12
+
+    def test_large_n_converges_at_the_rounding_of_the_likelihood(self):
+        # the summed log-likelihood of 2e5 samples rounds at about 1e-11
+        # relative, so a 1e-12 tolerance alone refined this grid to its cap
+        samples = draw(ProbeSpec(2, 1.0), 0.0, 200_000, RngStream(4, 0))
+        grid = posterior(samples)
+        assert grid.grid.size == 101
+        assert grid.variance == pytest.approx(1.0 / 800_000, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [20, 50])
+    @pytest.mark.parametrize("alpha", [100, 200])
+    def test_window_holds_the_whole_posterior(self, alpha, n):
+        # Unless N >> repetitions_required the posterior is wider than the
+        # 8-sigma starting window; cut there, its variance was up to 68% low.
+        spec = ProbeSpec(alpha, gamma_for_energy(alpha, 1.0 / 3.0))
+        for j in range(10):
+            samples = draw(spec, 0.0, n, RngStream(3, j))
+            grid = posterior(samples)
+            log_w = grid.log_weights
+            assert max(log_w[0], log_w[-1]) <= log_w.max() - 40.0
+            # reference: a direct-sum trapezoid on twice the window, 5x finer
+            lo, hi = grid.grid[0], grid.grid[-1]
+            middle, width = 0.5 * (lo + hi), hi - lo
+            dense = np.linspace(middle - width, middle + width, 10 * (grid.grid.size - 1) + 1)
+            residuals = np.subtract.outer(samples.outcomes, dense) / spec.gamma
+            log_like = -2.0 * np.sum(np.abs(residuals) ** alpha, axis=0)
+            weights = np.exp(log_like - log_like.max())
+            mean = np.sum(dense * weights) / np.sum(weights)
+            variance = np.sum((dense - mean) ** 2 * weights) / np.sum(weights)
+            assert grid.variance == pytest.approx(variance, rel=1e-12, abs=0)
+
+
+def test_posterior_grids_evaluate_each_likelihood_value_once(monkeypatch):
+    # the study-posterior benchmark's shape: 200 posteriors at alpha=20, N=50
+    grid_cells, probe_cells, final_cells = [], [], []
+    log_likelihood = simulate._log_likelihood
+    inner_posterior = simulate.posterior
+
+    def counting(samples, grid):
+        # window-edge probes take at most 3 points; grids take at least 100
+        cells = probe_cells if grid.size <= 3 else grid_cells
+        cells[-1] += grid.size * samples.n
+        return log_likelihood(samples, grid)
+
+    def recording(samples, *args, **kwargs):
+        grid_cells.append(0)
+        probe_cells.append(0)
+        result = inner_posterior(samples, *args, **kwargs)
+        final_cells.append(result.grid.size * samples.n)
+        return result
+
+    monkeypatch.setattr(simulate, "_log_likelihood", counting)
+    monkeypatch.setattr(simulate, "posterior", recording)
+    run_trials(20, 1.0 / 3.0, 50, 0.2, 200, 7)
+    assert len(final_cells) == 200
+    assert grid_cells == final_cells
+    assert sum(grid_cells) + sum(probe_cells) <= 2001 * 50 * 200 / 4
+
 
 class TestRunTrials:
     def test_gaussian_estimator_variance_matches_energy_over_n(self):
@@ -444,9 +510,18 @@ _PINNED_STUDIES = {
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED_STUDIES))
-def test_study_outputs_match_pinned_values(name):
+def test_study_outputs_match_pinned_values(name, monkeypatch):
     kwargs, pinned = _PINNED_STUDIES[name]
+    grids = []
+    inner_posterior = simulate.posterior
+
+    def recording(*args, **kwargs):
+        grids.append(inner_posterior(*args, **kwargs))
+        return grids[-1]
+
+    monkeypatch.setattr(simulate, "posterior", recording)
     summary = run_trials(**kwargs)
+    assert all(grid.variance_error <= 1e-12 for grid in grids)
     gamma = gamma_for_energy(kwargs["alpha"], kwargs["energy"])
     assert np.all(np.abs(summary.mles - pinned["exact_mles"]) <= 2e-10 * gamma)
     # the old search's flat zone, not the new solve, sets this tolerance
