@@ -75,11 +75,13 @@ class RngStream:
         return f"RngStream(seed={self._seed}, stream_index={self._stream_index})"
 
 
-def _normals(stream: RngStream, size: int) -> np.ndarray:
-    """Standard normals via the Box-Muller transform on stream uniforms."""
-    u1 = 1.0 - stream.uniforms(size)  # (0, 1], keeps log finite
-    u2 = stream.uniforms(size)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+def _uniform_rows(streams, size: int) -> np.ndarray:
+    """One row per stream of the next ``size`` uniforms: row t holds what
+    ``streams[t].uniforms(size)`` would return, written in place."""
+    rows = np.empty((len(streams), size))
+    for stream, row in zip(streams, rows):
+        stream._generator.random(out=row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +261,14 @@ def integrate(
 # ---------------------------------------------------------------------------
 
 
-def _squeeze_round(d: float, c: float, stream: RngStream, m: int):
-    """One round of ``m`` Marsaglia-Tsang proposals d v: the values and which
-    of them are accepted."""
-    x = _normals(stream, m)
+def _squeeze_round(d: float, c: float, u1, u2, u):
+    """Marsaglia-Tsang proposals d v from same-shaped uniform arrays: u1 and
+    u2 give the Box-Muller normals, u the acceptance test.  Returns the
+    values and which of them are accepted, flattened in C order."""
+    # 1 - u1 lies in (0, 1], which keeps the log finite
+    x = (np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(2.0 * np.pi * u2)).reshape(-1)
+    u = u.reshape(-1)  # a copy only of a strided block of rows
     v = (1.0 + c * x) ** 3
-    u = stream.uniforms(m)
     # x2 * x2, not x**4: pow on negative normals is tens of times slower, and
     # the squeeze lies well inside the exact region, so a last-bit change in
     # it cannot change which proposals are accepted
@@ -278,6 +282,44 @@ def _squeeze_round(d: float, c: float, stream: RngStream, m: int):
             1.0 - v[test] + np.log(v[test])
         )
     return d * v, accept
+
+
+def _gamma_rows(shape: float, streams, size: int, trailing: int = 0):
+    """Exact Gamma(shape) draws, ``size`` from each stream as one row, and
+    the ``trailing`` uniforms each stream yields right after them.
+
+    Each stream is consumed exactly as :func:`sample_gamma` consumes it,
+    followed by ``stream.uniforms(trailing)``: one call per stream and round
+    (Philox yields the same values for ``random(a)`` then ``random(b)`` as
+    for ``random(a + b)``), while every transform runs once over the rows.
+    """
+    boosted = shape < 1.0
+    a = shape + 1.0 if boosted else shape
+    d = a - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+
+    # the first round fills every slot from [u1 | u2 | u] per stream; later
+    # rounds redraw only the rejected, each stream for its own
+    first = _uniform_rows(streams, 3 * size).reshape(len(streams), 3, size)
+    out, accept = _squeeze_round(d, c, first[:, 0], first[:, 1], first[:, 2])
+    del first
+    pending = np.flatnonzero(~accept)
+    while pending.size:
+        counts = np.bincount(pending // size).tolist()
+        u1, u2, u = np.concatenate(
+            [streams[t].uniforms(3 * m).reshape(3, m) for t, m in enumerate(counts) if m],
+            axis=1,
+        )
+        values, accept = _squeeze_round(d, c, u1, u2, u)
+        out[pending[accept]] = values[accept]
+        pending = pending[~accept]
+
+    out = out.reshape(len(streams), size)
+    tail = _uniform_rows(streams, (size if boosted else 0) + trailing)
+    if boosted:
+        out *= tail[:, :size] ** (1.0 / shape)
+        tail = tail[:, size:]
+    return out, tail
 
 
 def sample_gamma(shape: float, stream: RngStream, size: int | None = None):
@@ -294,21 +336,5 @@ def sample_gamma(shape: float, stream: RngStream, size: int | None = None):
     shape = require_positive("shape", shape)
     scalar = size is None
     n = 1 if scalar else require_int("size", size, 0)
-
-    boosted = shape < 1.0
-    a = shape + 1.0 if boosted else shape
-    d = a - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-
-    # the first round fills every slot; later rounds redraw only the rejected
-    out, accept = _squeeze_round(d, c, stream, n)
-    pending = np.flatnonzero(~accept)
-    while pending.size:
-        values, accept = _squeeze_round(d, c, stream, pending.size)
-        out[pending[accept]] = values[accept]
-        pending = pending[~accept]
-
-    if boosted:
-        u = stream.uniforms(n)
-        out *= u ** (1.0 / shape)
+    out = _gamma_rows(shape, [stream], n)[0][0]
     return float(out[0]) if scalar else out

@@ -14,9 +14,13 @@ converges.  Repeated-trial studies compare
 the empirical estimator variance and the mean posterior variance against the
 energy-constrained bound.
 
+Studies run their trials in blocks: each stage draws, solves or integrates
+a whole block as (trials, N) and (trials, grid) arrays, and :func:`draw`,
+:func:`mle` and :func:`posterior` are the one-row case of the same code.
+
 Determinism: trial j always uses the random stream (seed, stream_index=j),
-so results are bit-reproducible and independent of execution order; trials
-may run concurrently.
+and its results are bit-identical whichever block it falls in, so they are
+reproducible and do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ import numpy as np
 from .errors import DomainError, ResolutionError
 from .errors import require_finite, require_int, require_positive
 from .metrology import energy_bound, fisher_closed
-from .numerics import RngStream, sample_gamma
+from .numerics import RngStream, _gamma_rows, _uniform_rows
+from .numerics import sample_gamma  # noqa: F401  (perfbench/tracing.py wraps it)
 from .probe import ProbeSpec, _stated, mean_energy
 
 __all__ = [
@@ -74,10 +79,19 @@ _MLE_TOL_FACTOR = 1e-10
 # converge in a few dozen steps; the cap only bounds the loop.
 _MLE_MAX_STEPS = 200
 
-# Grid points x samples per block of the likelihood sum.  The two block
-# buffers, 256 kB each whatever the sample count, are allocated once per
-# call, so posterior memory is O(grid), not O(grid x N), and the passes over
-# a block stay in a core's cache.
+# Values per trial block of run_trials, which holds
+# _BLOCK_VALUES // max(N, grid_points) trials (at least one), so a block's
+# sample and grid arrays stay near this size whatever the trial count.  The
+# MLE's per-step bookkeeping costs the same for one row as for hundreds,
+# about a third of a Newton step at N = 1e4; three trials per block at that
+# N amortize it, while larger blocks slow the sampler, whose temporaries
+# then outgrow a core's cache.
+_BLOCK_VALUES = 2**15
+
+# Cells (trials x samples x grid points) per block of the likelihood sum.
+# The two block buffers, 256 kB each whatever the sample count, are
+# allocated once per call, so posterior memory is O(grid), not O(grid x N),
+# and the passes over a block stay in a core's cache.
 _LIKELIHOOD_BLOCK_CELLS = 2**15
 
 
@@ -122,6 +136,38 @@ class PosteriorGrid:
         return np.exp(self.log_weights)
 
 
+def _exact_outcomes(spec: ProbeSpec, chi: float, n: int, streams) -> np.ndarray:
+    """``n`` outcomes from each stream, one row per stream: see :func:`draw`."""
+    n = require_int("n", n, 1)
+    chi = require_finite("chi", chi)
+    alpha = spec.alpha
+    g, signs = _gamma_rows(1.0 / alpha, streams, n, trailing=n)
+    # one signed scalar width per draw: negation is exact, so this is
+    # bit-identical to scaling +-1 by gamma and then by 2^(-1/alpha)
+    width = spec.gamma * 2.0 ** (-1.0 / alpha)
+    signed = np.where(signs < 0.5, -width, width)
+    return chi + signed * g ** (1.0 / alpha)
+
+
+def _square_outcomes(spec: ProbeSpec, chi: float, n: int, streams) -> np.ndarray:
+    """``n`` outcomes from each stream, one row per stream: see
+    :func:`draw_uniform`."""
+    n = require_int("n", n, 1)
+    chi = require_finite("chi", chi)
+    half = math.sqrt(3.0 * mean_energy(spec))
+    return chi + half * (2.0 * _uniform_rows(streams, n) - 1.0)
+
+
+def _sample_set(rows, spec: ProbeSpec, chi: float, n: int, stream: RngStream) -> SampleSet:
+    return SampleSet(
+        spec=spec,
+        chi_true=float(chi),
+        outcomes=rows(spec, chi, n, [stream])[0],
+        seed=stream.seed,
+        stream_index=stream.stream_index,
+    )
+
+
 def draw(spec: ProbeSpec, chi: float, n: int, stream: RngStream) -> SampleSet:
     """Draw ``n`` independent outcomes from the density shifted by ``chi``.
 
@@ -132,22 +178,7 @@ def draw(spec: ProbeSpec, chi: float, n: int, stream: RngStream) -> SampleSet:
     The stream is consumed; to regenerate the same set, pass a fresh stream
     with the same (seed, stream_index).
     """
-    n = require_int("n", n, 1)
-    chi = require_finite("chi", chi)
-    alpha = spec.alpha
-    g = sample_gamma(1.0 / alpha, stream, size=n)
-    # one signed scalar width per draw: negation is exact, so this is
-    # bit-identical to scaling +-1 by gamma and then by 2^(-1/alpha)
-    width = spec.gamma * 2.0 ** (-1.0 / alpha)
-    signed = np.where(stream.uniforms(n) < 0.5, -width, width)
-    outcomes = chi + signed * g ** (1.0 / alpha)
-    return SampleSet(
-        spec=spec,
-        chi_true=chi,
-        outcomes=outcomes,
-        seed=stream.seed,
-        stream_index=stream.stream_index,
-    )
+    return _sample_set(_exact_outcomes, spec, chi, n, stream)
 
 
 def draw_uniform(spec: ProbeSpec, chi: float, n: int, stream: RngStream) -> SampleSet:
@@ -158,17 +189,7 @@ def draw_uniform(spec: ProbeSpec, chi: float, n: int, stream: RngStream) -> Samp
     shortcut is a useful cross-check of exact sampling; it is not exact and
     :func:`draw` is the default everywhere.
     """
-    n = require_int("n", n, 1)
-    chi = require_finite("chi", chi)
-    half = math.sqrt(3.0 * mean_energy(spec))
-    outcomes = chi + half * (2.0 * stream.uniforms(n) - 1.0)
-    return SampleSet(
-        spec=spec,
-        chi_true=chi,
-        outcomes=outcomes,
-        seed=stream.seed,
-        stream_index=stream.stream_index,
-    )
+    return _sample_set(_square_outcomes, spec, chi, n, stream)
 
 
 def _power_in_place(base: np.ndarray, k: int, spare: np.ndarray) -> None:
@@ -192,29 +213,97 @@ def _power_in_place(base: np.ndarray, k: int, spare: np.ndarray) -> None:
         spare *= spare
 
 
-def _log_likelihood(samples: SampleSet, grid: np.ndarray) -> np.ndarray:
-    """Unnormalized log-likelihood of the signal on a grid of candidates,
-    -2 sum_j |(p_j - x) / gamma|^alpha, summed over blocks of samples.
+def _log_likelihoods(spec: ProbeSpec, outcomes: np.ndarray, grids: np.ndarray) -> np.ndarray:
+    """Unnormalized log-likelihoods of the signal, one row per trial: row t
+    is -2 sum_j |(p_tj - x) / gamma|^alpha on the candidates ``grids[t]``
+    given the samples ``outcomes[t]``.
 
-    Alpha is even, so each cell is the squared scaled residual raised to
-    alpha/2 by binary powering.  Residuals are scaled after the subtraction:
-    dividing outcomes and grid by gamma first would lose digits wherever
-    p_j - x is small against p_j."""
-    outcomes = samples.outcomes
-    inverse_gamma = 1.0 / samples.spec.gamma
-    half_alpha = samples.spec.alpha // 2
-    rows = max(1, _LIKELIHOOD_BLOCK_CELLS // grid.size)
-    base, spare = np.empty((2, min(rows, outcomes.size), grid.size))
-    total = np.zeros(grid.size)
-    for start in range(0, outcomes.size, rows):
-        block = outcomes[start : start + rows]
-        cells = base[: block.size]
-        np.subtract.outer(block, grid, out=cells)
-        cells *= inverse_gamma
-        cells *= cells
-        _power_in_place(cells, half_alpha, spare[: block.size])
-        total += cells.sum(axis=0)
+    The cells are summed a block at a time: whole trials while one trial's
+    N x G cells fit in _LIKELIHOOD_BLOCK_CELLS, and blocks of one trial's
+    samples beyond that.  Alpha is even, so each cell is the squared scaled
+    residual raised to alpha/2 by binary powering.  Residuals are scaled
+    after the subtraction: dividing outcomes and grid by gamma first would
+    lose digits wherever p_j - x is small against p_j."""
+    trials, n = outcomes.shape
+    size = grids.shape[1]
+    inverse_gamma = 1.0 / spec.gamma
+    half_alpha = spec.alpha // 2
+    rows = min(n, max(1, _LIKELIHOOD_BLOCK_CELLS // size))
+    block = max(1, _LIKELIHOOD_BLOCK_CELLS // (rows * size))
+    base, spare = np.empty((2, min(block, trials), rows, size))
+    total = np.zeros((trials, size))
+    for first in range(0, trials, block):
+        trial_outcomes = outcomes[first : first + block, :, None]
+        trial_grids = grids[first : first + block, None, :]
+        trial_total = total[first : first + block]
+        for start in range(0, n, rows):
+            samples = trial_outcomes[:, start : start + rows]
+            a, b = samples.shape[:2]
+            cells = base[:a, :b]
+            np.subtract(samples, trial_grids, out=cells)
+            cells *= inverse_gamma
+            cells *= cells
+            _power_in_place(cells, half_alpha, spare[:a, :b])
+            trial_total += cells.sum(axis=1)
     return -2.0 * total
+
+
+def _log_likelihood(samples: SampleSet, grid: np.ndarray) -> np.ndarray:
+    """The log-likelihood of one sample set on one grid: the one-row case of
+    :func:`_log_likelihoods`."""
+    return _log_likelihoods(samples.spec, samples.outcomes[None], grid[None])[0]
+
+
+def _rows(array: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``array[keep]``, without a copy when ``keep`` selects every row."""
+    return array if keep.all() else array[keep]
+
+
+def _mles(spec: ProbeSpec, outcomes: np.ndarray) -> np.ndarray:
+    """Maximum-likelihood estimate of each row of ``outcomes``: see
+    :func:`mle`.  The safeguarded Newton steps run over every unconverged
+    row at once, each row within its own bracket."""
+    lo = outcomes.min(axis=1)
+    hi = outcomes.max(axis=1)
+    alpha = spec.alpha
+    if alpha == 2:
+        return np.where(lo == hi, lo, outcomes.mean(axis=1))
+    estimates = lo.copy()  # the rows with lo == hi keep it
+    active = lo < hi
+    if not active.any():
+        return estimates
+    index = np.flatnonzero(active)
+    samples, lo, hi = _rows(outcomes, active), lo[active], hi[active]
+    tol = _MLE_TOL_FACTOR * spec.gamma
+    scale = 0.5 * (hi - lo)
+    x = lo + scale
+    half_step = scale  # half the last step, here the bracket width
+    for _ in range(_MLE_MAX_STEPS):
+        r = (samples - x[:, None]) / scale[:, None]
+        weights = np.abs(r) ** (alpha - 2)
+        # one dot product per row, as r @ w; a row sum of r * w would add
+        # in another order
+        score = np.matmul(r[:, None, :], weights[:, :, None])[:, 0, 0]
+        np.copyto(lo, x, where=score > 0.0)
+        np.copyto(hi, x, where=score < 0.0)
+        newton = scale * score / ((alpha - 1) * weights.sum(axis=1))
+        target = x + newton
+        # bisect when Newton leaves the bracket or stops halving its step; a
+        # zero score makes a zero Newton step, which ends the row at its root
+        newton_ok = (lo <= target) & (target <= hi) & (np.abs(newton) <= half_step)
+        step = np.where(newton_ok, newton, 0.5 * (lo + hi) - x)
+        x += step
+        size = np.abs(step)
+        half_step = 0.5 * size
+        done = size <= tol
+        if done.any():
+            estimates[index[done]] = x[done]
+            if done.all():
+                return estimates
+            going = ~done
+            index, samples = index[going], samples[going]
+            lo, hi, scale, x, half_step = lo[going], hi[going], scale[going], x[going], half_step[going]
+    raise ResolutionError(f"maximum-likelihood estimate not converged in {_MLE_MAX_STEPS} steps")
 
 
 def mle(samples: SampleSet) -> float:
@@ -226,52 +315,128 @@ def mle(samples: SampleSet) -> float:
     residuals r_j = (p_j - x) / s are scaled by the sample half-range s, so
     the largest is O(1) and no power can overflow or underflow to a wrong
     root at any alpha or energy.  For alpha = 2 this is the sample mean; as
-    alpha grows it approaches the midrange.
+    alpha grows it approaches the midrange.  Raises :class:`ResolutionError`
+    if the root is not found within 200 steps, rather than return an
+    unconverged iterate.
     """
-    outcomes = samples.outcomes
-    lo = float(outcomes.min())
-    hi = float(outcomes.max())
-    if lo == hi:
-        return lo
-    alpha = samples.spec.alpha
-    if alpha == 2:
-        return float(outcomes.mean())
-    tol = _MLE_TOL_FACTOR * samples.spec.gamma
-    scale = 0.5 * (hi - lo)
-    x = lo + scale
-    step = hi - lo
-    for _ in range(_MLE_MAX_STEPS):
-        r = (outcomes - x) / scale
-        weights = np.abs(r) ** (alpha - 2)
-        score = float(r @ weights)
-        if score > 0.0:
-            lo = x
-        elif score < 0.0:
-            hi = x
-        else:
-            return x
-        newton = scale * score / ((alpha - 1) * float(weights.sum()))
-        # bisect when Newton leaves the bracket or stops halving its step
-        if lo <= x + newton <= hi and abs(newton) <= 0.5 * abs(step):
-            step = newton
-        else:
-            step = 0.5 * (lo + hi) - x
-        x += step
-        if abs(step) <= tol:
-            return x
-    return x
+    return float(_mles(samples.spec, samples.outcomes[None])[0])
 
 
-def _trapezoid(values: np.ndarray, dx: float) -> float:
-    return float(dx * (values.sum() - 0.5 * (values[0] + values[-1])))
+def _grids(lo: np.ndarray, hi: np.ndarray, points: int) -> np.ndarray:
+    """Row t is ``np.linspace(lo[t], hi[t], points)`` for a nonzero step, in
+    C order: ``linspace`` with ``axis=1`` returns an F-ordered view, whose
+    row sums add in another order."""
+    grid = np.arange(points) * ((hi - lo) / (points - 1))[:, None]
+    grid += lo[:, None]
+    grid[:, -1] = hi
+    return grid
 
 
-def _moments(grid: np.ndarray, weights: np.ndarray, dx: float) -> tuple:
-    """Trapezoid normalization, mean and variance of unnormalized weights."""
+def _trapezoid(values: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    return dx * (values.sum(axis=1) - 0.5 * (values[:, 0] + values[:, -1]))
+
+
+def _moments(grid: np.ndarray, weights: np.ndarray, dx: np.ndarray) -> tuple:
+    """Trapezoid normalization, mean and variance of the unnormalized
+    weights in each row."""
     norm = _trapezoid(weights, dx)
-    density = weights / norm
+    density = weights / norm[:, None]
     mean = _trapezoid(grid * density, dx)
-    return norm, mean, _trapezoid((grid - mean) ** 2 * density, dx)
+    return norm, mean, _trapezoid((grid - mean[:, None]) ** 2 * density, dx)
+
+
+def _grid_points(grid_points) -> int:
+    points = require_int("grid_points", grid_points, 101)
+    if points % 2 == 0:
+        raise DomainError(f"grid_points must be odd, got {grid_points!r}")
+    return points
+
+
+def _posteriors(
+    spec: ProbeSpec,
+    outcomes: np.ndarray,
+    centers: np.ndarray,
+    points: int,
+    half_width: float | None = None,
+) -> tuple:
+    """Posterior of each row of ``outcomes`` around its ``centers`` entry,
+    as :func:`posterior` builds it: the rows' means, variances and variance
+    errors stacked in a (3, trials) array, and row 0's grid.
+
+    Every row starts on ``points`` points, and the rows whose variance has
+    not converged double together."""
+    trials, n = outcomes.shape
+    if half_width is None:
+        start = _GRID_SIGMAS / math.sqrt(n * fisher_closed(spec))
+        offsets = np.repeat([[-start, start]], trials, axis=0)
+        probes = _log_likelihoods(spec, outcomes, centers[:, None] + np.array([0.0, -start, start]))
+        floor, edges = probes[:, :1] - _WINDOW_DROP, probes[:, 1:]
+        # a NaN edge compares False and stops widening its side; a row with
+        # one shallow side probes one point, as a row alone would
+        while (shallow := edges > floor).any():
+            offsets[shallow] *= _WINDOW_GROWTH
+            both = shallow.all(axis=1)
+            if both.any():
+                edges[both] = _log_likelihoods(
+                    spec, _rows(outcomes, both), centers[both, None] + offsets[both]
+                )
+            one = shallow.any(axis=1) & ~both
+            if one.any():
+                sides = shallow & one[:, None]
+                edges[sides] = _log_likelihoods(
+                    spec, _rows(outcomes, one), (centers[one] + offsets[sides])[:, None]
+                )[:, 0]
+        lo, hi = centers + offsets[:, 0], centers + offsets[:, 1]
+    else:
+        lo, hi = centers - half_width, centers + half_width
+
+    stats = np.empty((3, trials))
+    first = None
+    index = np.arange(trials)
+    grid = _grids(lo, hi, points)
+    log_w = _log_likelihoods(spec, outcomes, grid)
+    while True:
+        dx = grid[:, 1] - grid[:, 0]
+        peak = log_w.max(axis=1)
+        weights = np.exp(log_w - peak[:, None])
+        norm, mean, variance = _moments(grid, weights, dx)
+        occupied = (weights / norm[:, None] * dx[:, None] > 1e-12).sum(axis=1) >= 3
+        if not (variance[occupied] > 0.0).all():
+            raise ResolutionError("degenerate posterior variance on this grid")
+        # rows of fewer than 3 occupied cells divide by zero here and refine
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coarse = _moments(grid[:, ::2], weights[:, ::2], 2.0 * dx)[2]
+            error = np.abs(coarse - variance) / variance
+        done = occupied & (error <= np.maximum(_GRID_RTOL, _LIKELIHOOD_ROUNDING * np.abs(peak)))
+        stats[:, index[done]] = mean[done], variance[done], error[done]
+        if index[0] == 0 and done[0]:
+            first = PosteriorGrid(
+                grid=grid[0].copy(),
+                log_weights=log_w[0] - peak[0] - math.log(norm[0]),
+                mean=float(mean[0]),
+                variance=float(variance[0]),
+                map_estimate=float(grid[0, int(np.argmax(log_w[0]))]),
+                variance_error=float(error[0]),
+            )
+        going = ~done
+        if not going.any():
+            return stats, first
+        points = 2 * points - 1
+        if points > _GRID_MAX_POINTS:
+            raise ResolutionError(
+                f"posterior not resolved on {_GRID_MAX_POINTS} grid points: its "
+                "mass falls into fewer than 3 cells or its variance has not "
+                "converged; reduce half_width"
+            )
+        index, outcomes, log_w = index[going], _rows(outcomes, going), log_w[going]
+        lo, hi = lo[going], hi[going]
+        # each row steps by (hi - lo) / (points - 1), exactly half its old
+        # step, so the even points of the finer grid are the old grid
+        grid = _grids(lo, hi, points)
+        finer = np.empty(grid.shape)
+        finer[:, ::2] = log_w
+        finer[:, 1::2] = _log_likelihoods(spec, outcomes, grid[:, 1::2])
+        log_w = finer
 
 
 def posterior(
@@ -303,61 +468,13 @@ def posterior(
     before the variance converges (as when essentially all mass falls into
     a single cell of too wide a window), or when the variance degenerates.
     """
-    points = require_int("grid_points", grid_points, 101)
-    if points % 2 == 0:
-        raise DomainError(f"grid_points must be odd, got {grid_points!r}")
+    points = _grid_points(grid_points)
     center = mle(samples) if center is None else require_finite("center", center)
-    if half_width is None:
-        start = _GRID_SIGMAS / math.sqrt(samples.n * fisher_closed(samples.spec))
-        offsets = np.array([-start, start])
-        probes = _log_likelihood(samples, center + np.array([0.0, -start, start]))
-        at_center, edges = probes[0], probes[1:]
-        # a NaN edge compares False and stops widening its side
-        while (shallow := edges > at_center - _WINDOW_DROP).any():
-            offsets[shallow] *= _WINDOW_GROWTH
-            edges[shallow] = _log_likelihood(samples, center + offsets[shallow])
-        lo, hi = center + offsets
-    else:
+    if half_width is not None:
         half_width = require_positive("half_width", half_width)
-        lo, hi = center - half_width, center + half_width
-
-    grid = np.linspace(lo, hi, points)
-    log_w = _log_likelihood(samples, grid)
-    while True:
-        dx = grid[1] - grid[0]
-        peak = log_w.max()
-        weights = np.exp(log_w - peak)
-        norm, mean, variance = _moments(grid, weights, dx)
-        if np.count_nonzero(weights / norm * dx > 1e-12) >= 3:
-            if not variance > 0.0:
-                raise ResolutionError("degenerate posterior variance on this grid")
-            coarse = _moments(grid[::2], weights[::2], 2.0 * dx)[2]
-            error = abs(coarse - variance) / variance
-            if error <= max(_GRID_RTOL, _LIKELIHOOD_ROUNDING * abs(peak)):
-                break
-        points = 2 * points - 1
-        if points > _GRID_MAX_POINTS:
-            raise ResolutionError(
-                f"posterior not resolved on {_GRID_MAX_POINTS} grid points: its "
-                "mass falls into fewer than 3 cells or its variance has not "
-                "converged; reduce half_width"
-            )
-        # linspace steps by (hi - lo) / (points - 1), exactly half the old
-        # step, so the even points of the finer grid are the old grid
-        grid = np.linspace(lo, hi, points)
-        finer = np.empty(points)
-        finer[::2] = log_w
-        finer[1::2] = _log_likelihood(samples, grid[1::2])
-        log_w = finer
-
-    return PosteriorGrid(
-        grid=grid,
-        log_weights=log_w - peak - math.log(norm),
-        mean=mean,
-        variance=variance,
-        map_estimate=float(grid[int(np.argmax(log_w))]),
-        variance_error=error,
-    )
+    return _posteriors(
+        samples.spec, samples.outcomes[None], np.array([center]), points, half_width
+    )[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,10 +482,12 @@ class TrialSummary:
     """Aggregates of a repeated-trial estimation study of the probe of width
     ``gamma`` and mean energy ``energy``.
 
-    ``mles`` and ``posterior_variances`` are per-trial values (the latter is
-    None when the study skipped posteriors, as is ``first_posterior``, trial
-    0's grid); ``mle_variance`` is the empirical variance of the estimates
-    across trials (None for a single trial), and ``posterior_to_bound_ratio``
+    ``mles``, ``posterior_means``, ``posterior_variances`` and
+    ``posterior_errors`` are per-trial values (the last three, and trial 0's
+    grid ``first_posterior``, are None when the study skipped posteriors);
+    ``posterior_errors`` holds each grid's ``variance_error``.
+    ``mle_variance`` is the empirical variance of the estimates across
+    trials (None for a single trial), and ``posterior_to_bound_ratio``
     compares the mean posterior variance to the energy-constrained bound for
     the same parameters.
     """
@@ -383,6 +502,7 @@ class TrialSummary:
     mles: np.ndarray
     posterior_means: np.ndarray | None
     posterior_variances: np.ndarray | None
+    posterior_errors: np.ndarray | None
     mle_mean: float
     mle_variance: float | None
     mean_posterior_variance: float | None
@@ -406,45 +526,59 @@ def run_trials(
     as ``(alpha, energy)`` or as ``(ProbeSpec, None)``, and aggregate them.
 
     Trial j draws its samples from the stream (seed, stream_index=j), so the
-    study is reproducible and order-independent.  Each trial's posterior is
-    :func:`posterior` centered at its MLE: a window that widens until the
-    log-likelihood falls 40 nats at both edges, on a grid that starts at
-    ``grid_points`` and doubles, up to 65537 points, until its variance
-    converges to 1e-12 relative.  ``compute_posterior=False`` skips the
-    posterior grids (useful for large estimator-variance studies where only
-    the MLEs matter); ``uniform_sampling=True`` draws outcomes from the
-    square-profile stand-in instead of the exact density.
+    study is reproducible.  Trials run in blocks of consecutive indices, of
+    _BLOCK_VALUES // max(n, grid_points) trials (at least one): each stage
+    (drawing, the MLE, the posterior) runs over a whole block as
+    (trials, N) and (trials, grid) arrays, and trial j's results are
+    bit-identical to :func:`draw`, :func:`mle` and :func:`posterior` on its
+    own stream.  Each trial's posterior is centered at its MLE: a window
+    that widens until the log-likelihood falls 40 nats at both edges, on a
+    grid that starts at ``grid_points`` and doubles, up to 65537 points,
+    until its variance converges to 1e-12 relative.
+    ``compute_posterior=False`` skips the posterior grids (useful for large
+    estimator-variance studies where only the MLEs matter);
+    ``uniform_sampling=True`` draws outcomes from the square-profile
+    stand-in instead of the exact density.
     """
     spec, energy = _stated(alpha, energy)
     trials = require_int("trials", trials, 1)
-    sampler = draw_uniform if uniform_sampling else draw
+    n = require_int("n", n, 1)
+    sampler = _square_outcomes if uniform_sampling else _exact_outcomes
+    if compute_posterior:
+        points = _grid_points(grid_points)
+        per_block = max(1, _BLOCK_VALUES // max(n, points))
+        posteriors = np.empty((3, trials))
+    else:
+        per_block = max(1, _BLOCK_VALUES // n)
+        posteriors = [None] * 3
 
     estimates = np.empty(trials)
-    post_means = np.empty(trials) if compute_posterior else None
-    post_vars = np.empty(trials) if compute_posterior else None
     first_posterior = None
-    for j in range(trials):
-        samples = sampler(spec, chi, n, RngStream(seed, j))
-        estimates[j] = mle(samples)
+    for start in range(0, trials, per_block):
+        block = slice(start, min(trials, start + per_block))
+        streams = [RngStream(seed, j) for j in range(block.start, block.stop)]
+        outcomes = sampler(spec, chi, n, streams)
+        estimates[block] = _mles(spec, outcomes)
         if compute_posterior:
-            grid = posterior(samples, grid_points, center=estimates[j])
-            post_means[j], post_vars[j] = grid.mean, grid.variance
-            if j == 0:
+            posteriors[:, block], grid = _posteriors(spec, outcomes, estimates[block], points)
+            if start == 0:
                 first_posterior = grid
 
+    post_means, post_vars, post_errors = posteriors
     bound = energy_bound(spec.alpha, energy, n)
     mean_post_var = float(post_vars.mean()) if compute_posterior else None
     return TrialSummary(
         alpha=spec.alpha,
         energy=energy,
         gamma=spec.gamma,
-        repetitions=int(n),
+        repetitions=n,
         chi_true=float(chi),
         trials=trials,
         seed=int(seed),
         mles=estimates,
         posterior_means=post_means,
         posterior_variances=post_vars,
+        posterior_errors=post_errors,
         mle_mean=float(estimates.mean()),
         mle_variance=float(estimates.var(ddof=1)) if trials > 1 else None,
         mean_posterior_variance=mean_post_var,

@@ -302,22 +302,26 @@ class TestSimulateCommand:
             assert (payload["gamma"], payload["mle"]) == (gamma, simulate.mle(samples))
 
     def test_posterior_out_reuses_trial_0(self, monkeypatch, tmp_path, capsys):
-        streams = []
-        log_likelihood = simulate._log_likelihood
+        blocks = []
+        posteriors = simulate._posteriors
 
-        def counting(samples, grid):
-            streams.append(samples.stream_index)
-            return log_likelihood(samples, grid)
+        def recording(spec, outcomes, *args):
+            stats, first = posteriors(spec, outcomes, *args)
+            blocks.append((outcomes.shape[0], first))
+            return stats, first
 
-        monkeypatch.setattr(simulate, "_log_likelihood", counting)
+        monkeypatch.setattr(simulate, "_posteriors", recording)
         argv = ["simulate", "--alpha", "4", "--energy", "0.5", "--n", "10", "--seed", "5"]
         argv += ["--trials", "3", "--posterior-out", str(tmp_path / "post.csv")]
         assert cli.main(argv) == 0
-        # each posterior probes its window edges and may refine its grid, so
-        # a trial calls the likelihood more than once; none for trial 0 may
-        # come after trial 1 has started
-        assert streams == sorted(streams)
-        assert set(streams) == {0, 1, 2}
+        # one posterior per trial, and the CSV is the grid of the block that
+        # holds trial 0, not a second posterior of trial 0
+        assert sum(rows for rows, _ in blocks) == 3
+        grid = blocks[0][1]
+        with open(tmp_path / "post.csv") as f:
+            rows = list(csv.reader(f))[1:]
+        assert [float(x) for x, _ in rows] == grid.grid.tolist()
+        assert [float(d) for _, d in rows] == grid.density.tolist()
 
     def test_n_required_runs_no_repetitions_quadrature(self, monkeypatch, capsys):
         def no_quadrature(alpha, rel_tol):

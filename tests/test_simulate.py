@@ -357,29 +357,112 @@ class TestPosterior:
 
 def test_posterior_grids_evaluate_each_likelihood_value_once(monkeypatch):
     # the study-posterior benchmark's shape: 200 posteriors at alpha=20, N=50
-    grid_cells, probe_cells, final_cells = [], [], []
-    log_likelihood = simulate._log_likelihood
-    inner_posterior = simulate.posterior
+    spec = ProbeSpec(20, gamma_for_energy(20, 1.0 / 3.0))
+    cells = {"grid": 0, "probe": 0}
+    log_likelihoods = simulate._log_likelihoods
 
-    def counting(samples, grid):
+    def counting(spec, outcomes, grids):
         # window-edge probes take at most 3 points; grids take at least 100
-        cells = probe_cells if grid.size <= 3 else grid_cells
-        cells[-1] += grid.size * samples.n
-        return log_likelihood(samples, grid)
+        cells["probe" if grids.shape[1] <= 3 else "grid"] += grids.size * outcomes.shape[1]
+        return log_likelihoods(spec, outcomes, grids)
 
-    def recording(samples, *args, **kwargs):
-        grid_cells.append(0)
-        probe_cells.append(0)
-        result = inner_posterior(samples, *args, **kwargs)
-        final_cells.append(result.grid.size * samples.n)
-        return result
+    monkeypatch.setattr(simulate, "_log_likelihoods", counting)
+    summary = run_trials(spec, None, 50, 0.2, 200, 7)
+    monkeypatch.undo()
+    final_cells = [
+        posterior(draw(spec, 0.2, 50, RngStream(7, j)), center=summary.mles[j]).grid.size * 50
+        for j in range(200)
+    ]
+    assert cells["grid"] == sum(final_cells)
+    assert cells["grid"] + cells["probe"] <= 2001 * 50 * 200 / 4
 
-    monkeypatch.setattr(simulate, "_log_likelihood", counting)
-    monkeypatch.setattr(simulate, "posterior", recording)
-    run_trials(20, 1.0 / 3.0, 50, 0.2, 200, 7)
-    assert len(final_cells) == 200
-    assert grid_cells == final_cells
-    assert sum(grid_cells) + sum(probe_cells) <= 2001 * 50 * 200 / 4
+
+def _same_bytes(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+# Blocks of 2 trials, so that 5 trials span three blocks, the last one short.
+@pytest.mark.parametrize("grid_points", [101, 2001])
+@pytest.mark.parametrize("uniform_sampling", [False, True])
+@pytest.mark.parametrize("n", [1, 20, 50])
+@pytest.mark.parametrize("alpha", [2, 4, 20, 200])
+def test_trial_blocks_match_one_trial_at_a_time(
+    alpha, n, uniform_sampling, grid_points, monkeypatch
+):
+    monkeypatch.setattr(simulate, "_BLOCK_VALUES", 2 * max(n, grid_points))
+    spec = ProbeSpec(alpha, gamma_for_energy(alpha, 1.0 / 3.0))
+    sampler = draw_uniform if uniform_sampling else draw
+    summary = run_trials(
+        spec, None, n, 0.2, 5, 11, grid_points=grid_points, uniform_sampling=uniform_sampling
+    )
+    for j in range(5):
+        samples = sampler(spec, 0.2, n, RngStream(11, j))
+        estimate = mle(samples)
+        grid = posterior(samples, grid_points, center=estimate)
+        assert _same_bytes(summary.mles[j], estimate)
+        assert _same_bytes(summary.posterior_means[j], grid.mean)
+        assert _same_bytes(summary.posterior_variances[j], grid.variance)
+        assert _same_bytes(summary.posterior_errors[j], grid.variance_error)
+        if j == 0:
+            first = summary.first_posterior
+            for name in ("grid", "log_weights", "mean", "variance", "map_estimate"):
+                assert _same_bytes(getattr(first, name), getattr(grid, name)), name
+
+
+# SHA-256 of the little-endian float64 bytes of mles, posterior_means and
+# posterior_variances, in turn, recorded when run_trials ran one trial at a
+# time.  Like the draw digests, they depend on numpy's transcendental and
+# BLAS kernels; they also pin the MLE's score to one dot product per row.
+_STUDY_SHA256 = [
+    (
+        dict(alpha=20, energy=1.0 / 3.0, n=50, chi=0.2, trials=12, seed=7),
+        "0a868ec4af5d92fae22af520079ec1b0b5a8ee152501e932afd6562193c18779",
+    ),
+    (
+        dict(alpha=200, energy=1.0 / 3.0, n=20, chi=0.2, trials=12, seed=7),
+        "38ba32a2d46f0e5a657e23a7cc697150986d55c607a729cc441b09fdae8faa37",
+    ),
+    (
+        dict(alpha=4, energy=1.0 / 3.0, n=10_000, chi=0.1, trials=3, seed=5, compute_posterior=False),
+        "d42a013e378ab8e2918bb6cd4daf22d65b104523b8404b83db1ad833b1cffd05",
+    ),
+]
+
+
+@pytest.mark.parametrize("kwargs,digest", _STUDY_SHA256)
+def test_study_bytes_match_the_pinned_digests(kwargs, digest):
+    summary = run_trials(**kwargs)
+    h = hashlib.sha256()
+    for values in (summary.mles, summary.posterior_means, summary.posterior_variances):
+        if values is not None:
+            h.update(np.ascontiguousarray(values, dtype="<f8").tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_study_blocks_hold_trials_up_to_the_block_size():
+    # at the real block size: 200 trials of N=50 fill one block of 324, and
+    # 7 trials of N=1e4 fill blocks of 3, 3 and 1
+    for n, trials in ((50, 200), (10_000, 7)):
+        spec = ProbeSpec(20, gamma_for_energy(20, 1.0 / 3.0))
+        summary = run_trials(spec, None, n, 0.0, trials, 3, compute_posterior=n < 100)
+        for j in (0, trials - 1):
+            samples = draw(spec, 0.0, n, RngStream(3, j))
+            assert _same_bytes(summary.mles[j], mle(samples))
+
+
+def test_an_unconverged_mle_raises(monkeypatch):
+    spec = ProbeSpec(20, gamma_for_energy(20, 1.0 / 3.0))
+    samples = draw(spec, 0.0, 50, RngStream(3, 0))
+    monkeypatch.setattr(simulate, "_MLE_MAX_STEPS", 1)
+    with pytest.raises(ResolutionError, match="not converged"):
+        mle(samples)
+    with pytest.raises(ResolutionError, match="not converged"):
+        run_trials(spec, None, 50, 0.0, 3, 3, compute_posterior=False)
+    # the closed forms take no steps: the Gaussian mean, a single distinct value
+    gaussian = draw(ProbeSpec(2, 1.0), 0.0, 50, RngStream(3, 0))
+    assert mle(gaussian) == gaussian.outcomes.mean()
+    constant = dataclasses.replace(samples, outcomes=np.full(4, 0.5))
+    assert mle(constant) == 0.5
 
 
 class TestRunTrials:
@@ -510,18 +593,14 @@ _PINNED_STUDIES = {
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED_STUDIES))
-def test_study_outputs_match_pinned_values(name, monkeypatch):
+def test_study_outputs_match_pinned_values(name):
     kwargs, pinned = _PINNED_STUDIES[name]
-    grids = []
-    inner_posterior = simulate.posterior
-
-    def recording(*args, **kwargs):
-        grids.append(inner_posterior(*args, **kwargs))
-        return grids[-1]
-
-    monkeypatch.setattr(simulate, "posterior", recording)
     summary = run_trials(**kwargs)
-    assert all(grid.variance_error <= 1e-12 for grid in grids)
+    if pinned["posterior_variances"] is None:
+        assert summary.posterior_errors is None
+    else:
+        assert summary.posterior_errors.shape == (kwargs["trials"],)
+        assert np.all(summary.posterior_errors <= 1e-12)
     gamma = gamma_for_energy(kwargs["alpha"], kwargs["energy"])
     assert np.all(np.abs(summary.mles - pinned["exact_mles"]) <= 2e-10 * gamma)
     # the old search's flat zone, not the new solve, sets this tolerance
