@@ -26,6 +26,7 @@ probe) the result is the exact value rather than the round-tripped one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 from .errors import DomainError, finite_result, require_finite, require_int
@@ -72,6 +73,11 @@ def fisher_closed(spec: ProbeSpec) -> float:
           = alpha^2 * 2^(2/alpha) * G(2 - 1/alpha) / (gamma^2 * G(1/alpha)).
     """
     a = spec.alpha
+    square = spec.gamma * spec.gamma
+    # at alpha = 2, exactly 4 / gamma^2 wherever gamma^2 is a normal float;
+    # the log-gamma route misses it by an ulp, but holds beyond that range
+    if a == 2 and sys.float_info.min < square < math.inf:
+        return 4.0 / square
     log_score_scale = math.log(2.0 * a) - math.log(spec.gamma)
     return _exp(2.0 * log_score_scale + _log_moment(a, 2 * a - 2))
 

@@ -139,16 +139,24 @@ def absolute_moment(spec: ProbeSpec, k: int) -> float:
 
 
 def mean_energy(spec: ProbeSpec) -> float:
-    """Mean probe energy, equal to the momentum variance E p^2 (mean is 0)."""
+    """Mean probe energy, equal to the momentum variance E p^2 (mean is 0).
+
+    At alpha = 2 it is exactly gamma^2 / 4 wherever that is a float; the
+    log-gamma route misses it by a few ulp."""
+    half = 0.5 * spec.gamma
+    if spec.alpha == 2 and half * half < math.inf:
+        return half * half
     return absolute_moment(spec, 2)
 
 
 def gamma_for_energy(alpha: int, energy: float) -> float:
     """The unique width giving the requested mean energy at this ``alpha``,
     gamma = sqrt(energy / m_2), formed as sqrt(energy) m_2^(-1/2) so that
-    no intermediate overflows."""
+    no intermediate overflows; exactly 2 sqrt(energy) at alpha = 2."""
     alpha = validate_alpha(alpha)
     energy = require_positive("energy", energy)
+    if alpha == 2:
+        return 2.0 * math.sqrt(energy)
     return math.sqrt(energy) * _exp(-0.5 * _log_moment(alpha, 2))
 
 

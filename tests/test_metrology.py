@@ -7,6 +7,7 @@ closed forms, and hand-checked special cases of the Gaussian probe.
 
 import hashlib
 import math
+import random
 import time
 import warnings
 from math import lgamma
@@ -318,11 +319,13 @@ class TestPinnedQuadratures:
 
 # SHA-256 of float.hex of every field of bound_report(alpha, energy, 50) and
 # of fisher_numeric at chi = 0.7 gamma, for every even alpha at three
-# energies, recorded from the heap-ordered quadrature loop.  The pins above
+# energies, recorded from the heap-ordered quadrature loop and re-pinned when
+# the alpha = 2 width and Fisher information became exact (only the alpha = 2
+# rows moved, each by a few ulp toward the exact value).  The pins above
 # hold to 1e-12; this one holds bit for bit.  Like the sampler digests, it
 # depends on numpy's exp and log.
 _REPORT_ENERGIES = (1e-250, 1.0 / 3.0, 1e250)
-_REPORT_SHA256 = "425a7f87517ff7f661eb7e34c40b8de46e1fa0b746adf203b222f36f11d2b915"
+_REPORT_SHA256 = "6aa7d7295c832c551f46c401ed06139d760e0b5528b05a38ae338f387c9be879"
 
 
 def test_reports_and_fisher_quadrature_match_the_pinned_digest():
@@ -336,6 +339,22 @@ def test_reports_and_fisher_quadrature_match_the_pinned_digest():
                 text = value.hex() if isinstance(value, float) else str(value)
                 digest.update(text.encode() + b",")
     assert digest.hexdigest() == _REPORT_SHA256
+
+
+def test_gaussian_closed_forms_are_exact():
+    # at alpha = 2: E = gamma^2 / 4, gamma = 2 sqrt(E), F = 4 / gamma^2, with
+    # gamma^2 as gamma * gamma, the rounded square (pow(gamma, 2) is not
+    # always rounded correctly)
+    rng = random.Random(2)
+    for _ in range(2000):
+        gamma = 10.0 ** rng.uniform(-3.0, 3.0)
+        energy = 10.0 ** rng.uniform(-3.0, 3.0)
+        spec = ProbeSpec(2, gamma)
+        assert mean_energy(spec) == gamma * gamma / 4
+        assert fisher_closed(spec) == 4 / (gamma * gamma)
+        assert gamma_for_energy(2, energy) == 2 * math.sqrt(energy)
+    report = bound_report(ProbeSpec(2, 1.3), None, 50)
+    assert report.energy_bound == report.crb
 
 
 class TestScenarios:
