@@ -138,30 +138,30 @@ class PosteriorGrid:
 
 def _exact_outcomes(spec: ProbeSpec, chi: float, n: int, streams) -> np.ndarray:
     """``n`` outcomes from each stream, one row per stream: see :func:`draw`."""
-    n = require_int("n", n, 1)
-    chi = require_finite("chi", chi)
     alpha = spec.alpha
     g, signs = _gamma_rows(1.0 / alpha, streams, n, trailing=n)
     # one signed scalar width per draw: negation is exact, so this is
     # bit-identical to scaling +-1 by gamma and then by 2^(-1/alpha)
     width = spec.gamma * 2.0 ** (-1.0 / alpha)
-    signed = np.where(signs < 0.5, -width, width)
-    return chi + signed * g ** (1.0 / alpha)
+    g **= 1.0 / alpha  # in place, as in _squeeze_round
+    g *= np.where(signs < 0.5, -width, width)
+    g += chi
+    return g
 
 
 def _square_outcomes(spec: ProbeSpec, chi: float, n: int, streams) -> np.ndarray:
     """``n`` outcomes from each stream, one row per stream: see
     :func:`draw_uniform`."""
-    n = require_int("n", n, 1)
-    chi = require_finite("chi", chi)
     half = math.sqrt(3.0 * mean_energy(spec))
     return chi + half * (2.0 * _uniform_rows(streams, n) - 1.0)
 
 
 def _sample_set(rows, spec: ProbeSpec, chi: float, n: int, stream: RngStream) -> SampleSet:
+    n = require_int("n", n, 1)
+    chi = require_finite("chi", chi)
     return SampleSet(
         spec=spec,
-        chi_true=float(chi),
+        chi_true=chi,
         outcomes=rows(spec, chi, n, [stream])[0],
         seed=stream.seed,
         stream_index=stream.stream_index,
@@ -279,8 +279,10 @@ def _mles(spec: ProbeSpec, outcomes: np.ndarray) -> np.ndarray:
     x = lo + scale
     half_step = scale  # half the last step, here the bracket width
     for _ in range(_MLE_MAX_STEPS):
-        r = (samples - x[:, None]) / scale[:, None]
-        weights = np.abs(r) ** (alpha - 2)
+        r = samples - x[:, None]  # in place from here, as in _squeeze_round
+        r /= scale[:, None]
+        weights = np.abs(r)
+        weights **= alpha - 2
         # one dot product per row, as r @ w; a row sum of r * w would add
         # in another order
         score = np.matmul(r[:, None, :], weights[:, :, None])[:, 0, 0]
@@ -543,6 +545,7 @@ def run_trials(
     spec, energy = _stated(alpha, energy)
     trials = require_int("trials", trials, 1)
     n = require_int("n", n, 1)
+    chi = require_finite("chi", chi)
     sampler = _square_outcomes if uniform_sampling else _exact_outcomes
     if compute_posterior:
         points = _grid_points(grid_points)
@@ -572,7 +575,7 @@ def run_trials(
         energy=energy,
         gamma=spec.gamma,
         repetitions=n,
-        chi_true=float(chi),
+        chi_true=chi,
         trials=trials,
         seed=int(seed),
         mles=estimates,
