@@ -277,7 +277,7 @@ def _mles(spec: ProbeSpec, outcomes: np.ndarray) -> np.ndarray:
     tol = _MLE_TOL_FACTOR * spec.gamma
     scale = 0.5 * (hi - lo)
     x = lo + scale
-    half_step = scale  # half the last step, here the bracket width
+    half_step = scale  # half the last step; before the first, half the bracket
     for _ in range(_MLE_MAX_STEPS):
         r = samples - x[:, None]  # in place from here, as in _squeeze_round
         r /= scale[:, None]
@@ -325,9 +325,10 @@ def mle(samples: SampleSet) -> float:
 
 
 def _grids(lo: np.ndarray, hi: np.ndarray, points: int) -> np.ndarray:
-    """Row t is ``np.linspace(lo[t], hi[t], points)`` for a nonzero step, in
-    C order: ``linspace`` with ``axis=1`` returns an F-ordered view, whose
-    row sums add in another order."""
+    """Row t is ``np.linspace(lo[t], hi[t], points)`` (for a nonzero step),
+    in a C-ordered array: ``linspace`` with ``axis=1`` returns an F-ordered
+    view, and a row sum over an F-ordered array adds in another order than
+    the sum over one grid."""
     grid = np.arange(points) * ((hi - lo) / (points - 1))[:, None]
     grid += lo[:, None]
     grid[:, -1] = hi
