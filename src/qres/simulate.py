@@ -303,8 +303,8 @@ def _mles(spec: ProbeSpec, outcomes: np.ndarray) -> np.ndarray:
             if done.all():
                 return estimates
             going = ~done
-            index, samples = index[going], samples[going]
-            lo, hi, scale, x, half_step = lo[going], hi[going], scale[going], x[going], half_step[going]
+            index, samples, lo, hi = index[going], samples[going], lo[going], hi[going]
+            scale, x, half_step = scale[going], x[going], half_step[going]
     raise ResolutionError(f"maximum-likelihood estimate not converged in {_MLE_MAX_STEPS} steps")
 
 
@@ -372,7 +372,9 @@ def _posteriors(
     if half_width is None:
         start = _GRID_SIGMAS / math.sqrt(n * fisher_closed(spec))
         offsets = np.repeat([[-start, start]], trials, axis=0)
-        probes = _log_likelihoods(spec, outcomes, centers[:, None] + np.array([0.0, -start, start]))
+        probes = _log_likelihoods(
+            spec, outcomes, centers[:, None] + np.array([0.0, -start, start])
+        )
         floor, edges = probes[:, :1] - _WINDOW_DROP, probes[:, 1:]
         # a NaN edge compares False and stops widening its side; a row with
         # one shallow side probes one point, as a row alone would

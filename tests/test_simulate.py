@@ -423,7 +423,9 @@ _STUDY_SHA256 = [
         "38ba32a2d46f0e5a657e23a7cc697150986d55c607a729cc441b09fdae8faa37",
     ),
     (
-        dict(alpha=4, energy=1.0 / 3.0, n=10_000, chi=0.1, trials=3, seed=5, compute_posterior=False),
+        dict(
+            alpha=4, energy=1.0 / 3.0, n=10_000, chi=0.1, trials=3, seed=5, compute_posterior=False
+        ),
         "d42a013e378ab8e2918bb6cd4daf22d65b104523b8404b83db1ad833b1cffd05",
     ),
 ]
