@@ -377,20 +377,13 @@ def _posteriors(
         )
         floor, edges = probes[:, :1] - _WINDOW_DROP, probes[:, 1:]
         # a NaN edge compares False and stops widening its side; a row with
-        # one shallow side probes one point, as a row alone would
+        # one shallow side probes both edges, the other one unmoved
         while (shallow := edges > floor).any():
             offsets[shallow] *= _WINDOW_GROWTH
-            both = shallow.all(axis=1)
-            if both.any():
-                edges[both] = _log_likelihoods(
-                    spec, _rows(outcomes, both), centers[both, None] + offsets[both]
-                )
-            one = shallow.any(axis=1) & ~both
-            if one.any():
-                sides = shallow & one[:, None]
-                edges[sides] = _log_likelihoods(
-                    spec, _rows(outcomes, one), (centers[one] + offsets[sides])[:, None]
-                )[:, 0]
+            wider = shallow.any(axis=1)
+            edges[wider] = _log_likelihoods(
+                spec, _rows(outcomes, wider), centers[wider, None] + offsets[wider]
+            )
         lo, hi = centers + offsets[:, 0], centers + offsets[:, 1]
     else:
         lo, hi = centers - half_width, centers + half_width
