@@ -1,5 +1,6 @@
 """Numerical kernel: log-gamma (the standard library's ``lgamma`` behind the
-package's argument check), adaptive quadrature, gamma-variate sampling, and
+package's argument check), adaptive quadrature, gamma-variate sampling
+(numpy's ``Generator.standard_gamma``: Marsaglia-Tsang for shape > 1), and
 reproducible seeded random streams.
 
 Everything here is deterministic given its inputs.  Randomness enters only
@@ -40,9 +41,12 @@ class RngStream:
     stream_index values are statistically independent.  Because each trial
     owns its own stream, parallel execution order cannot change results.
 
-    Only raw uniforms are drawn from the underlying generator; every other
-    distribution used by this package is built on top of them in this module,
-    which keeps the byte-level sequence under our control.
+    This module draws uniforms and gamma variates from the underlying
+    generator, and every other distribution used by this package is built on
+    them.  The same (seed, stream_index) gives the same bytes on one numpy
+    build.  Across numpy releases the gamma bytes may change, since numpy
+    may change the stream of a ``Generator`` method between releases, and
+    the values built on them depend on numpy's pow, exp and log kernels too.
 
     A stream is a stateful value with a single owner: consecutive calls to
     :meth:`uniforms` advance it.  Recreate the object to replay a sequence.
@@ -261,95 +265,23 @@ def integrate(
 # ---------------------------------------------------------------------------
 
 
-def _squeeze_round(d: float, c: float, u1, u2, u):
-    """Marsaglia-Tsang proposals d v from same-shaped uniform arrays: u1 and
-    u2 give the Box-Muller normals, u the acceptance test.  Returns the
-    values and which of them are accepted, flattened in C order."""
-    # The arithmetic is in place and dead arrays are dropped early, so that
-    # a block's temporaries stay few: otherwise the heap grows past malloc's
-    # trim threshold and hands its pages back after every block, which cost
-    # a 100-trial study at N = 1e4 about 1100 minor page faults.
-    # x = sqrt(-2 ln(1 - u1)) cos(2 pi u2); 1 - u1 in (0, 1] keeps ln finite
-    x = 1.0 - u1
-    np.log(x, out=x)
-    x *= -2.0
-    np.sqrt(x, out=x)
-    angle = 2.0 * np.pi * u2
-    np.cos(angle, out=angle)
-    x *= angle
-    del angle
-    x = x.reshape(-1)
-    u = u.reshape(-1)  # a copy only of a strided block of rows
-    v = c * x
-    v += 1.0
-    v **= 3
-    x2 = x * x
-    del x
-    positive = v > 0.0
-    # x2 * x2, not x**4: pow on negative normals is tens of times slower, and
-    # the squeeze lies well inside the exact region, so a last-bit change in
-    # it cannot change which proposals are accepted
-    squeeze = x2 * x2
-    squeeze *= 0.0331
-    np.subtract(1.0, squeeze, out=squeeze)
-    accept = u < squeeze
-    del squeeze
-    accept &= positive
-    # the exact log test runs only on the few proposals the squeeze rejects
-    test = np.flatnonzero(positive & ~accept)
-    with np.errstate(divide="ignore"):  # log 0 = -inf accepts, as it should
-        accept[test] = np.log(u[test]) < 0.5 * x2[test] + d * (
-            1.0 - v[test] + np.log(v[test])
-        )
-    v *= d
-    return v, accept
-
-
 def _gamma_rows(shape: float, streams, size: int, trailing: int = 0):
-    """Exact Gamma(shape) draws, ``size`` from each stream as one row, and
-    the ``trailing`` uniforms each stream yields right after them.
-
-    Each stream is consumed exactly as :func:`sample_gamma` consumes it,
-    followed by ``stream.uniforms(trailing)``: one call per stream and round
-    (Philox yields the same values for ``random(a)`` then ``random(b)`` as
-    for ``random(a + b)``), while every transform runs once over the rows.
-    """
-    boosted = shape < 1.0
-    a = shape + 1.0 if boosted else shape
-    d = a - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-
-    # the first round fills every slot from [u1 | u2 | u] per stream; later
-    # rounds redraw only the rejected, each stream for its own
-    first = _uniform_rows(streams, 3 * size).reshape(len(streams), 3, size)
-    out, accept = _squeeze_round(d, c, first[:, 0], first[:, 1], first[:, 2])
-    del first
-    pending = np.flatnonzero(~accept)
-    while pending.size:
-        counts = np.bincount(pending // size).tolist()
-        u1, u2, u = np.concatenate(
-            [streams[t].uniforms(3 * m).reshape(3, m) for t, m in enumerate(counts) if m],
-            axis=1,
-        )
-        values, accept = _squeeze_round(d, c, u1, u2, u)
-        out[pending[accept]] = values[accept]
-        pending = pending[~accept]
-
-    out = out.reshape(len(streams), size)
-    tail = _uniform_rows(streams, (size if boosted else 0) + trailing)
-    if boosted:
-        out *= tail[:, :size] ** (1.0 / shape)
-        tail = tail[:, size:]
-    return out, tail
+    """Gamma(shape) draws, ``size`` from each stream as one row, and the
+    ``trailing`` uniforms each stream yields right after them."""
+    out = np.empty((len(streams), size))
+    for stream, row in zip(streams, out):
+        stream._generator.standard_gamma(shape, out=row)
+    return out, _uniform_rows(streams, trailing)
 
 
 def sample_gamma(shape: float, stream: RngStream, size: int | None = None):
-    """Exact draws from Gamma(shape, unit scale).
-
-    Uses the Marsaglia-Tsang squeeze for shape >= 1.  For shape < 1 the draw
-    is boosted from shape + 1 and multiplied by U^(1/shape), which is exact
-    (not approximate); the tests verify this against distribution moments and
-    a Kolmogorov-Smirnov check.
+    """Exact draws from Gamma(shape, unit scale): numpy's
+    ``Generator.standard_gamma`` on the stream's own generator.  numpy uses
+    the Marsaglia-Tsang squeeze method for shape > 1, the exponential for
+    shape 1 and an exact rejection method for shape < 1; the tests verify
+    the draws against distribution moments and a Kolmogorov-Smirnov check.
+    At small shapes some variates lie below the smallest float and are
+    returned as 0: about 2.4% of them at shape 1/200.
 
     Returns a float for ``size=None``, otherwise an ndarray of ``size`` draws
     consumed from ``stream`` as one deterministic batch.

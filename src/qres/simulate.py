@@ -138,15 +138,14 @@ class PosteriorGrid:
 
 def _exact_outcomes(spec: ProbeSpec, chi: float, n: int, streams) -> np.ndarray:
     """``n`` outcomes from each stream, one row per stream: see :func:`draw`."""
-    alpha = spec.alpha
-    g, signs = _gamma_rows(1.0 / alpha, streams, n, trailing=n)
-    # one signed scalar width per draw: negation is exact, so this is
-    # bit-identical to scaling +-1 by gamma and then by 2^(-1/alpha)
-    width = spec.gamma * 2.0 ** (-1.0 / alpha)
-    g **= 1.0 / alpha  # in place, as in _squeeze_round
-    g *= np.where(signs < 0.5, -width, width)
-    g += chi
-    return g
+    root = 1.0 / spec.alpha
+    w, uniforms = _gamma_rows(1.0 + root, streams, n, trailing=2 * n)
+    width = spec.gamma * 2.0 ** -root
+    w **= root  # in place, so that a block's temporaries stay few
+    w *= uniforms[:, :n]
+    w *= np.where(uniforms[:, n:] < 0.5, -width, width)
+    w += chi
+    return w
 
 
 def _square_outcomes(spec: ProbeSpec, chi: float, n: int, streams) -> np.ndarray:
@@ -171,9 +170,16 @@ def _sample_set(rows, spec: ProbeSpec, chi: float, n: int, stream: RngStream) ->
 def draw(spec: ProbeSpec, chi: float, n: int, stream: RngStream) -> SampleSet:
     """Draw ``n`` independent outcomes from the density shifted by ``chi``.
 
-    Exact sampling: p = chi + s * gamma * 2^(-1/alpha) * g^(1/alpha) with
-    s = +-1 equiprobable and g ~ Gamma(1/alpha) reproduces the shifted probe
-    density exactly (the transformation maps the gamma density onto it).
+    Exact sampling: |p - chi| = gamma * 2^(-1/alpha) * g^(1/alpha) with
+    g ~ Gamma(1/alpha) has the probe density, and so does
+    gamma * 2^(-1/alpha) * W^(1/alpha) * U with W ~ Gamma(1 + 1/alpha) and U
+    uniform, since g = W U^alpha in law.  The second form, the
+    uniform-product form of the generalized Gaussian (Nardon & Pianca,
+    J. Stat. Comput. Simul. 79:1317, 2009), is the one used: it takes the
+    1/alpha root before anything can underflow, where g itself lies below
+    the smallest float for 2.4% of draws at alpha = 200.  W comes from
+    :func:`~qres.numerics.sample_gamma`'s sampler, then the stream's next
+    2n uniforms give U and the sign of p - chi.
 
     The stream is consumed; to regenerate the same set, pass a fresh stream
     with the same (seed, stream_index).
@@ -279,7 +285,7 @@ def _mles(spec: ProbeSpec, outcomes: np.ndarray) -> np.ndarray:
     x = lo + scale
     half_step = scale  # half the last step; before the first, half the bracket
     for _ in range(_MLE_MAX_STEPS):
-        r = samples - x[:, None]  # in place from here, as in _squeeze_round
+        r = samples - x[:, None]  # in place from here, as in _exact_outcomes
         r /= scale[:, None]
         weights = np.abs(r)
         weights **= alpha - 2

@@ -1,9 +1,10 @@
 """Tests for the Monte-Carlo simulation and estimation layer.
 
-Oracles: distribution moments of the exact sampler, Gaussian conjugacy of
-the posterior at alpha = 2, direct objective comparisons for the MLE,
-scale and translation equivariance, outputs pinned before the estimator
-rewrite, and the closed-form bounds for trial aggregates.
+Oracles: distribution moments and a Kolmogorov-Smirnov check of the exact
+sampler, Gaussian conjugacy of the posterior at alpha = 2, direct objective
+comparisons for the MLE, scale and translation equivariance, pinned outputs
+with MLEs solved in 60-digit arithmetic, and the closed-form bounds for
+trial aggregates.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special, stats
 
 from qres.errors import DomainError, ResolutionError
 from qres.metrology import crb, fisher_closed
@@ -44,13 +46,12 @@ def _grid_moment(grid, order):
 
 # SHA-256 of the little-endian float64 bytes of
 # draw(ProbeSpec(alpha, 1.7), -0.3, 40_000, RngStream(2718, j)).outcomes for
-# j = 0, 1, 2 in turn, recorded before the sampler and the scaling in draw
-# were rewritten.  Like the sample_gamma digests, they depend on numpy's
-# transcendental kernels.
+# j = 0, 1, 2 in turn, recorded on numpy 2.4.6.  Like the sample_gamma
+# digests, they depend on numpy's standard_gamma stream and on its pow.
 _DRAW_SHA256 = [
-    (2, "8904663a2f3430f169457717f88e8860903d07c1dda2bec0b6d311f386949da3"),
-    (20, "cad5c17fe6dd64b4615a3a189fac7f9249e18ae57587541e1036f63df613fc40"),
-    (200, "7677213b22fe0cbc3da63d6f79ce59cad5a188d9986b864d480c8413380f0fd9"),
+    (2, "7f68751f9b25300c93db538351b637381c5a61d27ca578bcf08f3278cf1255fb"),
+    (20, "acabf7e1ede84c3d8ac2600ff79d48d94c35bfb5aa34969b42f1526505fa365c"),
+    (200, "ee5f2437ff4137561306886fef2cfd69b090a3d36973e345887cd0e621673241"),
 ]
 
 
@@ -62,6 +63,23 @@ class TestDraw:
             samples = draw(ProbeSpec(alpha, 1.7), -0.3, 40_000, RngStream(2718, j))
             h.update(np.ascontiguousarray(samples.outcomes, dtype="<f8").tobytes())
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("alpha", [2, 4, 20, 50, 100, 200])
+    def test_kolmogorov_smirnov_against_the_probe_cdf(self, alpha):
+        # Rooting a Gamma(1/alpha) variate after it underflowed to 0 put 2.4%
+        # of the draws exactly at chi at alpha = 200 (KS p ~ 1e-14).
+        def cdf(x):
+            # P(|p| <= |x|) = gammainc(1/alpha, 2|x|^alpha); that underflows
+            # near 0 just as the draws did, so small arguments take its series
+            t = 2.0 * np.abs(x) ** alpha
+            series = 2.0 ** (1.0 / alpha) * np.abs(x) / math.gamma(1.0 + 1.0 / alpha)
+            mass = np.where(t < 1e-30, series, special.gammainc(1.0 / alpha, t))
+            return 0.5 + 0.5 * np.sign(x) * mass
+
+        for seed in (5, 6, 7):
+            outcomes = draw(ProbeSpec(alpha, 1.0), 0.0, 10**5, RngStream(seed, 0)).outcomes
+            assert not np.any(outcomes == 0.0)
+            assert stats.kstest(outcomes, cdf).pvalue > 1e-3
 
     def test_gaussian_variance(self):
         samples = draw(ProbeSpec(2, 1.0), 0.0, 10**6, RngStream(11, 0))
@@ -410,23 +428,23 @@ def test_trial_blocks_match_one_trial_at_a_time(
 
 
 # SHA-256 of the little-endian float64 bytes of mles, posterior_means and
-# posterior_variances, in turn, recorded when run_trials ran one trial at a
-# time.  Like the draw digests, they depend on numpy's transcendental and
-# BLAS kernels; they also pin the MLE's score to one dot product per row.
+# posterior_variances, in turn, recorded on numpy 2.4.6.  Like the draw
+# digests, they depend on numpy's gamma sampler, transcendental and BLAS
+# kernels; they also pin the MLE's score to one dot product per row.
 _STUDY_SHA256 = [
     (
         dict(alpha=20, energy=1.0 / 3.0, n=50, chi=0.2, trials=12, seed=7),
-        "0a868ec4af5d92fae22af520079ec1b0b5a8ee152501e932afd6562193c18779",
+        "49b5f98bdd0723b77470c42e97d06635a36cf934eaf3e4e92f9a9679ca5cfae9",
     ),
     (
         dict(alpha=200, energy=1.0 / 3.0, n=20, chi=0.2, trials=12, seed=7),
-        "38ba32a2d46f0e5a657e23a7cc697150986d55c607a729cc441b09fdae8faa37",
+        "1c52f229f9e9588dbc8b16a678abdcdeade1508368fae383ef0721a80bcc036d",
     ),
     (
         dict(
             alpha=4, energy=1.0 / 3.0, n=10_000, chi=0.1, trials=3, seed=5, compute_posterior=False
         ),
-        "d42a013e378ab8e2918bb6cd4daf22d65b104523b8404b83db1ad833b1cffd05",
+        "a872c804850f392af2c67a33deb174296e55f720d22e77e0754f28e2e0af2e02",
     ),
 ]
 
@@ -541,37 +559,32 @@ class TestRunTrials:
             run_trials(spec, 1.0 / 3.0, 50, 0.2, 4, 7)
 
 
-# run_trials outputs recorded when the MLE was a golden-section search on
-# sum |p - x|^alpha ("mles"), and the exact MLE of the same samples: the root
-# of the score, solved in 60-digit arithmetic ("exact_mles").  Golden-section
-# search cannot resolve the minimum closer than the objective's flat zone,
-# about sqrt(machine epsilon) * width, so the old estimates sit up to 3.3e-9
-# gamma from the exact ones.
+# run_trials outputs recorded on numpy 2.4.6, with the exact MLE of the same
+# samples: the root of the score, solved in 60-digit arithmetic
+# ("exact_mles").
 _PINNED_STUDIES = {
     "study-posterior": (
         dict(alpha=20, energy=1.0 / 3.0, n=50, chi=0.2, trials=3, seed=7),
         {
-            "mles": [0.22939992146124283, 0.24308157641857647, 0.1410781116093204],
-            "exact_mles": [0.22939992104239, 0.2430815757723393, 0.14107811074655105],
+            "exact_mles": [0.211557376128967, 0.253635891676994, 0.22489426802421203],
             "posterior_means": [
-                0.22953977344920903,
-                0.24298266756001652,
-                0.14092601422320591,
+                0.21139297765576165,
+                0.2533127422321919,
+                0.225093343092476,
             ],
             "posterior_variances": [
-                0.0011878180314821916,
-                0.0006878641139435131,
-                0.0006207508869584037,
+                0.0008176183676950342,
+                0.0029045211457585187,
+                0.0019042639817234708,
             ],
         },
     ),
     "study-large-n": (
         dict(alpha=2, energy=1.0 / 3.0, n=10_000, chi=-0.3, trials=2, seed=9),
         {
-            "mles": [-0.29861882425921704, -0.3018365314564576],
-            "exact_mles": [-0.29861882808855245, -0.30183653513623737],
-            "posterior_means": [-0.29861882808855233, -0.30183653513623737],
-            "posterior_variances": [3.3333333333330706e-05, 3.3333333333331146e-05],
+            "exact_mles": [-0.29479847950032045, -0.30210885211166305],
+            "posterior_means": [-0.2947984795003192, -0.30210885211166366],
+            "posterior_variances": [3.3333333333333294e-05, 3.333333333333027e-05],
         },
     ),
     "study-mle": (
@@ -585,8 +598,7 @@ _PINNED_STUDIES = {
             compute_posterior=False,
         ),
         {
-            "mles": [0.09722699718213976, 0.09894098723166742, 0.09674128191161782],
-            "exact_mles": [0.097226998983057, 0.09894098645535178, 0.09674128157139548],
+            "exact_mles": [0.0956755629589015, 0.10131959200843284, 0.10032913956762585],
             "posterior_means": None,
             "posterior_variances": None,
         },
@@ -605,8 +617,6 @@ def test_study_outputs_match_pinned_values(name):
         assert np.all(summary.posterior_errors <= 1e-12)
     gamma = gamma_for_energy(kwargs["alpha"], kwargs["energy"])
     assert np.all(np.abs(summary.mles - pinned["exact_mles"]) <= 2e-10 * gamma)
-    # the old search's flat zone, not the new solve, sets this tolerance
-    assert np.all(np.abs(summary.mles - pinned["mles"]) <= 1e-8 * gamma)
     for key in ("posterior_means", "posterior_variances"):
         if pinned[key] is None:
             assert getattr(summary, key) is None
