@@ -265,13 +265,13 @@ def integrate(
 # ---------------------------------------------------------------------------
 
 
-def _gamma_rows(shape: float, streams, size: int, trailing: int = 0):
-    """Gamma(shape) draws, ``size`` from each stream as one row, and the
-    ``trailing`` uniforms each stream yields right after them."""
+def _gamma_rows(shape: float, streams, size: int) -> np.ndarray:
+    """One row per stream of its next ``size`` Gamma(shape) draws, written
+    in place."""
     out = np.empty((len(streams), size))
     for stream, row in zip(streams, out):
         stream._generator.standard_gamma(shape, out=row)
-    return out, _uniform_rows(streams, trailing)
+    return out
 
 
 def sample_gamma(shape: float, stream: RngStream, size: int | None = None):
@@ -289,5 +289,5 @@ def sample_gamma(shape: float, stream: RngStream, size: int | None = None):
     shape = require_positive("shape", shape)
     scalar = size is None
     n = 1 if scalar else require_int("size", size, 0)
-    out = _gamma_rows(shape, [stream], n)[0][0]
+    out = _gamma_rows(shape, [stream], n)[0]
     return float(out[0]) if scalar else out

@@ -40,9 +40,12 @@ __all__ = [
     "validate_alpha",
 ]
 
-# Beyond this the density is numerically indistinguishable from a square
-# profile and |p/gamma|^alpha overflows even log-careful evaluations near the
-# truncation window edge.
+# The largest alpha at which the simulation side is tested.  The closed forms
+# and the log-domain quadratures hold beyond it (ROADMAP item 11); what does
+# not is the posterior: its 8-sigma starting window shrinks as 1/sqrt(alpha)
+# while the posterior's own width tends to 1/N, and the likelihood's
+# binary-powered |(p - x)/gamma|^alpha overflows for residuals near 2 gamma
+# once alpha exceeds about 1023.
 ALPHA_MAX = 200
 
 # Quadrature truncation: |p| <= gamma * TAIL_EXPONENT^(1/alpha) puts the tail

@@ -139,7 +139,8 @@ class PosteriorGrid:
 def _exact_outcomes(spec: ProbeSpec, chi: float, n: int, streams) -> np.ndarray:
     """``n`` outcomes from each stream, one row per stream: see :func:`draw`."""
     root = 1.0 / spec.alpha
-    w, uniforms = _gamma_rows(1.0 + root, streams, n, trailing=2 * n)
+    w = _gamma_rows(1.0 + root, streams, n)
+    uniforms = _uniform_rows(streams, 2 * n)
     width = spec.gamma * 2.0 ** -root
     w **= root  # in place, so that a block's temporaries stay few
     w *= uniforms[:, :n]

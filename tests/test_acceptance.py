@@ -4,7 +4,7 @@ the lines for passing criteria too).
 
 Known-red criterion: number 4 asserts that the 200-trial mean posterior
 variance at alpha=20, energy 1/3, N=50 falls within 25 percent of the
-energy-constrained bound.  The measured trial mean sits ~40 percent above
+energy-constrained bound.  The measured trial mean sits ~38 percent above
 the bound (verified independently with scipy/numpy-only machinery; the
 per-trial distribution is strongly right-skewed, its median IS within 25
 percent, and the mean converges onto the bound only for N well above the

@@ -232,7 +232,9 @@ _SAMPLE_GAMMA_SHA256 = [
 
 
 class TestSampleGamma:
-    @pytest.mark.parametrize("shape,digest", _SAMPLE_GAMMA_SHA256)
+    @pytest.mark.parametrize(
+        "shape,digest", _SAMPLE_GAMMA_SHA256, ids=[str(shape) for shape, _ in _SAMPLE_GAMMA_SHA256]
+    )
     def test_bytes_match_the_pinned_digests(self, shape, digest):
         h = hashlib.sha256()
         for j in range(3):

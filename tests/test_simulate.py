@@ -56,7 +56,9 @@ _DRAW_SHA256 = [
 
 
 class TestDraw:
-    @pytest.mark.parametrize("alpha,digest", _DRAW_SHA256)
+    @pytest.mark.parametrize(
+        "alpha,digest", _DRAW_SHA256, ids=[str(alpha) for alpha, _ in _DRAW_SHA256]
+    )
     def test_bytes_match_the_pinned_digests(self, alpha, digest):
         h = hashlib.sha256()
         for j in range(3):
@@ -449,7 +451,11 @@ _STUDY_SHA256 = [
 ]
 
 
-@pytest.mark.parametrize("kwargs,digest", _STUDY_SHA256)
+@pytest.mark.parametrize(
+    "kwargs,digest",
+    _STUDY_SHA256,
+    ids=[f"alpha{kwargs['alpha']}-n{kwargs['n']}" for kwargs, _ in _STUDY_SHA256],
+)
 def test_study_bytes_match_the_pinned_digests(kwargs, digest):
     summary = run_trials(**kwargs)
     h = hashlib.sha256()
