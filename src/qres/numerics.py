@@ -6,6 +6,10 @@ reproducible seeded random streams.
 Everything here is deterministic given its inputs.  Randomness enters only
 through :class:`RngStream`, an explicit value owned and advanced by the
 caller, so results never depend on execution order or parallel scheduling.
+Studies do not build one :class:`RngStream` per trial: they key one Philox
+generator per study and re-key it in place for each trial j to the state
+``RngStream(seed, j)`` starts in (:func:`_stream_generators`), so each trial
+draws the same bytes as from its own stream.
 """
 
 from __future__ import annotations
@@ -32,6 +36,15 @@ __all__ = [
 _UINT64_MAX = 2**64
 
 
+def _stream_key(seed: int, stream_index: int) -> np.ndarray:
+    """The Philox key of the stream (seed, stream_index): both must be
+    integers in [0, 2^64), else :class:`DomainError`."""
+    for name, value in (("seed", seed), ("stream_index", stream_index)):
+        if require_int(name, value, 0) >= _UINT64_MAX:
+            raise DomainError(f"{name} must fit in an unsigned 64-bit integer")
+    return np.array([int(seed), int(stream_index)], dtype=np.uint64)
+
+
 class RngStream:
     """A reproducible uniform-random stream identified by (seed, stream_index).
 
@@ -40,6 +53,9 @@ class RngStream:
     produce identical draw sequences on every platform and distinct
     stream_index values are statistically independent.  Because each trial
     owns its own stream, parallel execution order cannot change results.
+    A study re-keys one generator in place for each trial j instead of
+    building this object (:func:`_stream_generators`); the re-keyed state is
+    the one ``RngStream(seed, j)`` starts in, so the bytes are the same.
 
     This module draws uniforms and gamma variates from the underlying
     generator, and every other distribution used by this package is built on
@@ -53,12 +69,9 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_index: int = 0):
-        for name, value in (("seed", seed), ("stream_index", stream_index)):
-            if require_int(name, value, 0) >= _UINT64_MAX:
-                raise DomainError(f"{name} must fit in an unsigned 64-bit integer")
+        key = _stream_key(seed, stream_index)
         self._seed = int(seed)
         self._stream_index = int(stream_index)
-        key = np.array([self._seed, self._stream_index], dtype=np.uint64)
         self._generator = np.random.Generator(np.random.Philox(key=key))
 
     @property
@@ -79,13 +92,29 @@ class RngStream:
         return f"RngStream(seed={self._seed}, stream_index={self._stream_index})"
 
 
-def _uniform_rows(streams, size: int) -> np.ndarray:
-    """One row per stream of the next ``size`` uniforms: row t holds what
-    ``streams[t].uniforms(size)`` would return, written in place."""
-    rows = np.empty((len(streams), size))
-    for stream, row in zip(streams, rows):
-        stream._generator.random(out=row)
-    return rows
+def _stream_generators(seed: int, stream_indices):
+    """An iterator over the generators of the streams (seed, j), for each j
+    in ``stream_indices`` in turn.
+
+    It keys one Philox generator, checking ``seed`` before it returns, and
+    re-keys it in place for each j through the bit generator's ``state``
+    setter: key (seed, j), counter zero, buffer empty and no spare 32-bit
+    half, which is the state ``RngStream(seed, j)`` starts in.  So each
+    generator draws the bytes of ``RngStream(seed, j)``, without the fresh
+    OS-entropy ``SeedSequence`` that building a ``Philox`` draws and the key
+    then overrides.  Every item is the same object: it holds stream j only
+    until the next item is taken.
+    """
+    bit_generator = np.random.Philox(key=_stream_key(seed, 0))
+    generator = np.random.Generator(bit_generator)
+    start = bit_generator.state
+
+    def rekeyed(stream_index):
+        start["state"]["key"] = _stream_key(seed, stream_index)
+        bit_generator.state = start
+        return generator
+
+    return map(rekeyed, stream_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +294,6 @@ def integrate(
 # ---------------------------------------------------------------------------
 
 
-def _gamma_rows(shape: float, streams, size: int) -> np.ndarray:
-    """One row per stream of its next ``size`` Gamma(shape) draws, written
-    in place."""
-    out = np.empty((len(streams), size))
-    for stream, row in zip(streams, out):
-        stream._generator.standard_gamma(shape, out=row)
-    return out
-
-
 def sample_gamma(shape: float, stream: RngStream, size: int | None = None):
     """Exact draws from Gamma(shape, unit scale): numpy's
     ``Generator.standard_gamma`` on the stream's own generator.  numpy uses
@@ -289,5 +309,5 @@ def sample_gamma(shape: float, stream: RngStream, size: int | None = None):
     shape = require_positive("shape", shape)
     scalar = size is None
     n = 1 if scalar else require_int("size", size, 0)
-    out = _gamma_rows(shape, [stream], n)[0]
+    out = stream._generator.standard_gamma(shape, size=n)
     return float(out[0]) if scalar else out

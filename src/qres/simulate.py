@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import DomainError, ResolutionError
 from .errors import require_finite, require_int, require_positive
 from .metrology import energy_bound, fisher_closed
-from .numerics import RngStream, _gamma_rows, _uniform_rows
+from .numerics import RngStream, _stream_generators
 from .numerics import sample_gamma  # noqa: F401  (perfbench/tracing.py wraps it)
 from .probe import ProbeSpec, _stated, mean_energy
 
@@ -136,24 +137,36 @@ class PosteriorGrid:
         return np.exp(self.log_weights)
 
 
-def _exact_outcomes(spec: ProbeSpec, chi: float, n: int, streams) -> np.ndarray:
-    """``n`` outcomes from each stream, one row per stream: see :func:`draw`."""
+def _exact_outcomes(spec: ProbeSpec, chi: float, n: int, generators, trials: int) -> np.ndarray:
+    """``n`` outcomes from each of the next ``trials`` generators, one row
+    per generator: see :func:`draw`."""
     root = 1.0 / spec.alpha
-    w = _gamma_rows(1.0 + root, streams, n)
-    uniforms = _uniform_rows(streams, 2 * n)
-    width = spec.gamma * 2.0 ** -root
+    w = np.empty((trials, n))
+    uniforms = np.empty((trials, 2 * n))
+    for row, uniform_row, generator in zip(w, uniforms, generators):
+        generator.standard_gamma(1.0 + root, out=row)
+        generator.random(out=uniform_row)
     w **= root  # in place, so that a block's temporaries stay few
     w *= uniforms[:, :n]
-    w *= np.where(uniforms[:, n:] < 0.5, -width, width)
+    w *= spec.gamma * 2.0 ** -root
+    # w >= 0, and u - 0.5 < 0 exactly when u < 0.5, so this negates the
+    # outcomes whose sign uniform is below one half, in place: -(x c) is
+    # x (-c) exactly.  A masked np.negative takes twice as long as a product.
+    signs = uniforms[:, n:]
+    signs -= 0.5
+    np.copysign(w, signs, out=w)
     w += chi
     return w
 
 
-def _square_outcomes(spec: ProbeSpec, chi: float, n: int, streams) -> np.ndarray:
-    """``n`` outcomes from each stream, one row per stream: see
-    :func:`draw_uniform`."""
+def _square_outcomes(spec: ProbeSpec, chi: float, n: int, generators, trials: int) -> np.ndarray:
+    """``n`` outcomes from each of the next ``trials`` generators, one row
+    per generator: see :func:`draw_uniform`."""
     half = math.sqrt(3.0 * mean_energy(spec))
-    return chi + half * (2.0 * _uniform_rows(streams, n) - 1.0)
+    uniforms = np.empty((trials, n))
+    for row, generator in zip(uniforms, generators):
+        generator.random(out=row)
+    return chi + half * (2.0 * uniforms - 1.0)
 
 
 def _sample_set(rows, spec: ProbeSpec, chi: float, n: int, stream: RngStream) -> SampleSet:
@@ -162,7 +175,7 @@ def _sample_set(rows, spec: ProbeSpec, chi: float, n: int, stream: RngStream) ->
     return SampleSet(
         spec=spec,
         chi_true=chi,
-        outcomes=rows(spec, chi, n, [stream])[0],
+        outcomes=rows(spec, chi, n, [stream._generator], 1)[0],
         seed=stream.seed,
         stream_index=stream.stream_index,
     )
@@ -531,7 +544,10 @@ def run_trials(
     as ``(alpha, energy)`` or as ``(ProbeSpec, None)``, and aggregate them.
 
     Trial j draws its samples from the stream (seed, stream_index=j), so the
-    study is reproducible.  Trials run in blocks of consecutive indices, of
+    study is reproducible: one Philox generator is keyed per call and
+    re-keyed in place for each trial j to the state ``RngStream(seed, j)``
+    starts in, so trial j draws the same bytes as from that stream, without
+    building it.  Trials run in blocks of consecutive indices, of
     _BLOCK_VALUES // max(n, grid_points) trials (at least one): each stage
     (drawing, the MLE, the posterior) runs over a whole block as
     (trials, N) and (trials, grid) arrays, and trial j's results are
@@ -550,6 +566,7 @@ def run_trials(
     n = require_int("n", n, 1)
     chi = require_finite("chi", chi)
     sampler = _square_outcomes if uniform_sampling else _exact_outcomes
+    generators = _stream_generators(seed, range(trials))
     if compute_posterior:
         points = _grid_points(grid_points)
         per_block = max(1, _BLOCK_VALUES // max(n, points))
@@ -562,8 +579,8 @@ def run_trials(
     first_posterior = None
     for start in range(0, trials, per_block):
         block = slice(start, min(trials, start + per_block))
-        streams = [RngStream(seed, j) for j in range(block.start, block.stop)]
-        outcomes = sampler(spec, chi, n, streams)
+        count = block.stop - block.start
+        outcomes = sampler(spec, chi, n, islice(generators, count), count)
         estimates[block] = _mles(spec, outcomes)
         if compute_posterior:
             posteriors[:, block], grid = _posteriors(spec, outcomes, estimates[block], points)

@@ -508,6 +508,11 @@ class TestExitCodes:
         else:
             assert "overflows a float" in err
 
+    def test_a_negative_seed_is_a_usage_error(self, capsys):
+        argv = ["simulate", "--alpha", "2", "--energy", "1", "--n", "5", "--seed", "-1"]
+        assert cli.main(argv) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_accuracy_errors_map_to_exit_3(self, monkeypatch, capsys):
         def boom(args):
             raise AccuracyError("synthetic failure", best_estimate=1.0)

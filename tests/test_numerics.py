@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qres.errors import AccuracyError, DomainError
-from qres.numerics import RngStream, integrate, log_gamma, sample_gamma
+from qres.numerics import RngStream, _stream_generators, integrate, log_gamma, sample_gamma
 
 
 class TestLogGamma:
@@ -215,6 +215,29 @@ class TestRngStream:
     def test_validation(self, seed, index):
         with pytest.raises(DomainError):
             RngStream(seed, index)
+
+
+class TestStreamGenerators:
+    @pytest.mark.parametrize(
+        "seed,index", [(0, 0), (5, 7), (2**64 - 1, 3), (42, 2**64 - 1)]
+    )
+    def test_a_rekeyed_generator_draws_the_bytes_of_a_fresh_stream(self, seed, index):
+        generators = _stream_generators(seed, [12345, index])
+        previous = next(generators)
+        previous.random(3)
+        # an odd count leaves a spare 32-bit half and a part-used buffer
+        previous.integers(1000, size=5, dtype=np.uint32)
+        state = previous.bit_generator.state
+        assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+
+        def draws(generator):
+            return (
+                generator.standard_gamma(1.05, size=7).tobytes(),
+                generator.random(9).tobytes(),
+                generator.integers(1000, size=3, dtype=np.uint32).tobytes(),
+            )
+
+        assert draws(next(generators)) == draws(RngStream(seed, index)._generator)
 
 
 # SHA-256 of the little-endian float64 bytes of

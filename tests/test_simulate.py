@@ -476,6 +476,23 @@ def test_study_blocks_hold_trials_up_to_the_block_size():
             assert _same_bytes(summary.mles[j], mle(samples))
 
 
+@pytest.mark.parametrize("n,trials,blocks", [(50, 200, 1), (10_000, 7, 3)])
+def test_a_study_keys_one_philox_generator(n, trials, blocks, monkeypatch):
+    # building a Philox draws a SeedSequence from OS entropy, so a study keys
+    # one and re-keys it for each trial
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(args or kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    run_trials(20, 1.0 / 3.0, n, 0.0, trials, 3, compute_posterior=n < 100)
+    assert math.ceil(trials / (simulate._BLOCK_VALUES // max(n, 101))) == blocks
+    assert len(built) == 1
+
+
 def test_an_unconverged_mle_raises(monkeypatch):
     spec = ProbeSpec(20, gamma_for_energy(20, 1.0 / 3.0))
     samples = draw(spec, 0.0, 50, RngStream(3, 0))
@@ -544,6 +561,21 @@ class TestRunTrials:
         assert single.mles.shape == (1,)
         assert single.mle_variance is None
         assert single.mean_posterior_variance == single.posterior_variances[0]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, True, 1.5])
+    def test_seed_is_checked_before_any_sampling(self, seed, monkeypatch):
+        def sampler(*args):
+            raise AssertionError("sampled before the seed was checked")
+
+        monkeypatch.setattr(simulate, "_exact_outcomes", sampler)
+        with pytest.raises(DomainError, match="seed"):
+            run_trials(2, 1.0, 10, 0.0, 3, seed)
+
+    def test_the_largest_seed_is_accepted(self):
+        summary = run_trials(2, 1.0, 10, 0.0, 3, 2**64 - 1)
+        assert summary.seed == 2**64 - 1
+        samples = draw(ProbeSpec(2, 2.0), 0.0, 10, RngStream(2**64 - 1, 2))
+        assert _same_bytes(summary.mles[2], mle(samples))
 
     def test_probe_spec_form_is_the_energy_form_where_the_round_trip_is_exact(self):
         spec = ProbeSpec(20, gamma_for_energy(20, 1.0 / 3.0))
