@@ -31,13 +31,13 @@ from dataclasses import asdict, dataclass
 
 from .errors import DomainError, finite_result, require_finite, require_int
 from .errors import require_positive
-from .numerics import integrate
+from .numerics import integrate  # noqa: F401  (perfbench/tracing.py wraps it)
 from .probe import (
     ProbeSpec,
     _exp,
     _log_moment,
     _stated,
-    _unit_integrand,
+    _unit_integral,
     position_variance,
     uncertainty_product,
     validate_alpha,
@@ -84,11 +84,11 @@ def fisher_closed(spec: ProbeSpec) -> float:
 
 # fisher_numeric's nodes about the shifted centre chi/gamma carry a rounding
 # error of ~|chi/gamma| 2^-52 widths: up to 1e6 widths the result stays within
-# the default rel_tol (7.8e-9 at alpha = 200); by 1e14 widths it is wrong.
+# probe._QUADRATURE_RTOL (7.8e-9 at alpha = 200); by 1e14 widths it is wrong.
 _SHIFT_MAX = 1e6
 
 
-def fisher_numeric(spec: ProbeSpec, chi: float = 0.0, rel_tol: float = 1e-8) -> float:
+def fisher_numeric(spec: ProbeSpec, chi: float = 0.0) -> float:
     """Fisher information by quadrature of (dP/dchi)^2 / P for the shifted
     density P(p - chi).
 
@@ -102,8 +102,7 @@ def fisher_numeric(spec: ProbeSpec, chi: float = 0.0, rel_tol: float = 1e-8) -> 
     a, shift = spec.alpha, require_finite("chi", chi) / spec.gamma
     if not abs(shift) <= _SHIFT_MAX:
         raise DomainError(f"|chi|/gamma = {abs(shift):g} is above {_SHIFT_MAX:g}")
-    integrand, lo, hi = _unit_integrand(a, lambda power: power(2 * a - 2), shift)
-    integral = integrate(integrand, lo, hi, rel_tol, initial_panels=32)
+    integral = _unit_integral(a, lambda power: power(2 * a - 2), shift)
     return _exp(2.0 * (math.log(2.0 * a) - math.log(spec.gamma)) + math.log(integral))
 
 
@@ -192,10 +191,6 @@ class RepetitionsEstimate:
     quadrature: float | None
     large_alpha: float
 
-    @property
-    def closed_form_only(self) -> bool:
-        return self.quadrature is None
-
 
 def _repetitions_closed(alpha: int) -> float:
     """The closed form 2 m_(2 alpha - 4) / m_(alpha - 2)^2 - 2, which is
@@ -205,7 +200,7 @@ def _repetitions_closed(alpha: int) -> float:
     return 2.0 * ratio - 2.0
 
 
-def _repetitions_integral(alpha: int, rel_tol: float) -> float:
+def _repetitions_integral(alpha: int) -> float:
     """Quadrature of the repetitions integrand with analytic dP/dp, d2P/dp2.
 
     With L = ln P, the integrand (P'')^2/P - (P')^4/(3 P^3) rearranges to
@@ -219,11 +214,10 @@ def _repetitions_integral(alpha: int, rel_tol: float) -> float:
         l2 = -2.0 * alpha * (alpha - 1.0) * power(alpha - 2)
         return (l2 + l1_squared) ** 2 - l1_squared**2 / 3.0
 
-    integrand, lo, hi = _unit_integrand(alpha, weight)
-    return integrate(integrand, lo, hi, rel_tol, initial_panels=32)
+    return _unit_integral(alpha, weight)
 
 
-def repetitions_required(alpha: int, rel_tol: float = 1e-8) -> RepetitionsEstimate:
+def repetitions_required(alpha: int) -> RepetitionsEstimate:
     """Repetitions needed before the maximum-likelihood variance approaches
     the Cramer-Rao floor, as closed form plus an independent quadrature.
 
@@ -239,7 +233,7 @@ def repetitions_required(alpha: int, rel_tol: float = 1e-8) -> RepetitionsEstima
         quad = None
     else:
         fisher = fisher_closed(ProbeSpec(alpha, 1.0))
-        quad = 2.0 * _repetitions_integral(alpha, rel_tol) / fisher**2 - 2.0
+        quad = 2.0 * _repetitions_integral(alpha) / fisher**2 - 2.0
     return RepetitionsEstimate(
         closed_form=closed, quadrature=quad, large_alpha=2.0 * alpha
     )

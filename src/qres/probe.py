@@ -58,6 +58,9 @@ TAIL_EXPONENT = 350.0
 # exp(-2|p/gamma|^alpha) has underflowed to zero long before it.
 _EXP_CLIP = 705.0
 
+# Relative tolerance of every probe quadrature (see _unit_integral).
+_QUADRATURE_RTOL = 1e-8
+
 
 def validate_alpha(alpha: int) -> int:
     """Check the shape exponent: an even integer in [2, ALPHA_MAX]."""
@@ -174,11 +177,12 @@ def _stated(alpha, energy) -> tuple[ProbeSpec, float]:
     return alpha, mean_energy(alpha)
 
 
-def _unit_integrand(alpha: int, weight, shift: float = 0.0):
-    """(integrand, lo, hi) behind every probe quadrature: weight(power) P(u),
-    u = t - shift, over the window of the unit-width probe centred at
-    ``shift``; O(1) at any width, so callers rescale in the log domain.  ln|u|
-    is taken once per node, and power(k) forms |u|^k (k > 0) from it, for the
+def _unit_integral(alpha: int, weight, shift: float = 0.0) -> float:
+    """The integral of weight(power) P(u), u = t - shift, over the window of
+    the unit-width probe centred at ``shift``: the one quadrature behind every
+    probe integral, at one policy (_QUADRATURE_RTOL, 32 starting panels).  It
+    is O(1) at any width, so callers rescale in the log domain.  ln|u| is
+    taken once per node, and power(k) forms |u|^k (k > 0) from it, for the
     even weight and the density alike, as exp(k ln|u|) capped at _EXP_CLIP."""
     unit = ProbeSpec(alpha, 1.0)
     window = truncation_window(unit)
@@ -193,10 +197,12 @@ def _unit_integrand(alpha: int, weight, shift: float = 0.0):
 
         return weight(power) * np.exp(log_prefactor - 2.0 * power(alpha))
 
-    return integrand, shift - window, shift + window
+    return integrate(
+        integrand, shift - window, shift + window, _QUADRATURE_RTOL, initial_panels=32
+    )
 
 
-def position_variance(spec: ProbeSpec, rel_tol: float = 1e-8) -> float:
+def position_variance(spec: ProbeSpec) -> float:
     """Position variance (Dx)^2, by quadrature of the squared derivative of
     the real momentum wavefunction psi(p) = sqrt(P(p)).
 
@@ -208,8 +214,7 @@ def position_variance(spec: ProbeSpec, rel_tol: float = 1e-8) -> float:
     at unit width and is rescaled by (alpha/gamma)^2 in the log domain.
     """
     a = spec.alpha
-    integrand, lo, hi = _unit_integrand(a, lambda power: power(2 * a - 2))
-    integral = integrate(integrand, lo, hi, rel_tol, initial_panels=32)
+    integral = _unit_integral(a, lambda power: power(2 * a - 2))
     return _exp(2.0 * (math.log(a) - math.log(spec.gamma)) + math.log(integral))
 
 

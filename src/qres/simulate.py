@@ -32,7 +32,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .errors import require_finite, require_int, require_positive
+from .errors import require_finite, require_int
 from .metrology import energy_bound, fisher_closed
 from .numerics import RngStream, _stream_generators
 from .numerics import sample_gamma  # noqa: F401  (perfbench/tracing.py wraps it)
@@ -62,7 +62,8 @@ _WINDOW_DROP = 40.0
 # full grid's to _GRID_RTOL.  With both ends e^-40 below the peak the
 # trapezoid rule converges geometrically, so 101 to 1601 points suffice from
 # alpha = 2 to 200 at N >= 20; the cap stops a grid that cannot resolve the
-# posterior, such as an explicit half-width far wider than it.
+# posterior, whose mass falls into too few cells or whose variance does not
+# settle.
 _GRID_RTOL = 1e-12
 _GRID_MAX_POINTS = 2**16 + 1
 
@@ -268,12 +269,6 @@ def _log_likelihoods(spec: ProbeSpec, outcomes: np.ndarray, grids: np.ndarray) -
     return -2.0 * total
 
 
-def _log_likelihood(samples: SampleSet, grid: np.ndarray) -> np.ndarray:
-    """The log-likelihood of one sample set on one grid: the one-row case of
-    :func:`_log_likelihoods`."""
-    return _log_likelihoods(samples.spec, samples.outcomes[None], grid[None])[0]
-
-
 def _rows(array: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """``array[keep]``, without a copy when ``keep`` selects every row."""
     return array if keep.all() else array[keep]
@@ -375,13 +370,7 @@ def _grid_points(grid_points) -> int:
     return points
 
 
-def _posteriors(
-    spec: ProbeSpec,
-    outcomes: np.ndarray,
-    centers: np.ndarray,
-    points: int,
-    half_width: float | None = None,
-) -> tuple:
+def _posteriors(spec: ProbeSpec, outcomes: np.ndarray, centers: np.ndarray, points: int) -> tuple:
     """Posterior of each row of ``outcomes`` around its ``centers`` entry,
     as :func:`posterior` builds it: the rows' means, variances and variance
     errors stacked in a (3, trials) array, and row 0's grid.
@@ -389,24 +378,19 @@ def _posteriors(
     Every row starts on ``points`` points, and the rows whose variance has
     not converged double together."""
     trials, n = outcomes.shape
-    if half_width is None:
-        start = _GRID_SIGMAS / math.sqrt(n * fisher_closed(spec))
-        offsets = np.repeat([[-start, start]], trials, axis=0)
-        probes = _log_likelihoods(
-            spec, outcomes, centers[:, None] + np.array([0.0, -start, start])
+    start = _GRID_SIGMAS / math.sqrt(n * fisher_closed(spec))
+    offsets = np.repeat([[-start, start]], trials, axis=0)
+    probes = _log_likelihoods(spec, outcomes, centers[:, None] + np.array([0.0, -start, start]))
+    floor, edges = probes[:, :1] - _WINDOW_DROP, probes[:, 1:]
+    # a NaN edge compares False and stops widening its side; a row with
+    # one shallow side probes both edges, the other one unmoved
+    while (shallow := edges > floor).any():
+        offsets[shallow] *= _WINDOW_GROWTH
+        wider = shallow.any(axis=1)
+        edges[wider] = _log_likelihoods(
+            spec, _rows(outcomes, wider), centers[wider, None] + offsets[wider]
         )
-        floor, edges = probes[:, :1] - _WINDOW_DROP, probes[:, 1:]
-        # a NaN edge compares False and stops widening its side; a row with
-        # one shallow side probes both edges, the other one unmoved
-        while (shallow := edges > floor).any():
-            offsets[shallow] *= _WINDOW_GROWTH
-            wider = shallow.any(axis=1)
-            edges[wider] = _log_likelihoods(
-                spec, _rows(outcomes, wider), centers[wider, None] + offsets[wider]
-            )
-        lo, hi = centers + offsets[:, 0], centers + offsets[:, 1]
-    else:
-        lo, hi = centers - half_width, centers + half_width
+    lo, hi = centers + offsets[:, 0], centers + offsets[:, 1]
 
     stats = np.empty((3, trials))
     first = None
@@ -442,9 +426,9 @@ def _posteriors(
         points = 2 * points - 1
         if points > _GRID_MAX_POINTS:
             raise ResolutionError(
-                f"posterior not resolved on {_GRID_MAX_POINTS} grid points: its "
-                "mass falls into fewer than 3 cells or its variance has not "
-                "converged; reduce half_width"
+                f"posterior not resolved within the cap of {_GRID_MAX_POINTS} grid "
+                "points: its mass falls into fewer than 3 cells or its variance "
+                "has not converged"
             )
         index, outcomes, log_w = index[going], _rows(outcomes, going), log_w[going]
         lo, hi = lo[going], hi[going]
@@ -457,21 +441,15 @@ def _posteriors(
         log_w = finer
 
 
-def posterior(
-    samples: SampleSet,
-    grid_points: int = 101,
-    half_width: float | None = None,
-    center: float | None = None,
-) -> PosteriorGrid:
+def posterior(samples: SampleSet, grid_points: int = 101) -> PosteriorGrid:
     """Signal posterior under a flat prior, on a uniform grid around the
-    maximum-likelihood estimate (``center``, computed when not given).
+    maximum-likelihood estimate :func:`mle`.
 
     The window starts at eight Cramer-Rao standard deviations, 8/sqrt(N F)
-    with F the closed-form Fisher information, on each side of ``center``.
+    with F the closed-form Fisher information, on each side of the estimate.
     Each side then widens by 1.5x until the log-likelihood at its edge lies
-    at least 40 nats below its value at ``center``; the log-likelihood is
+    at least 40 nats below its value at the estimate; the log-likelihood is
     concave, so the posterior beyond either edge is below e^-40 of its peak.
-    An explicit ``half_width`` is used as given.
 
     ``grid_points`` (odd, at least 101) is the starting and smallest grid.
     While the variance from every other point differs from the full grid's
@@ -483,16 +461,10 @@ def posterior(
     computed from the normalized grid, not from a Gaussian fit.
 
     Raises :class:`ResolutionError` when the grid would pass 65537 points
-    before the variance converges (as when essentially all mass falls into
-    a single cell of too wide a window), or when the variance degenerates.
+    before the variance converges, or when the variance degenerates.
     """
     points = _grid_points(grid_points)
-    center = mle(samples) if center is None else require_finite("center", center)
-    if half_width is not None:
-        half_width = require_positive("half_width", half_width)
-    return _posteriors(
-        samples.spec, samples.outcomes[None], np.array([center]), points, half_width
-    )[1]
+    return _posteriors(samples.spec, samples.outcomes[None], np.array([mle(samples)]), points)[1]
 
 
 @dataclass(frozen=True, eq=False)

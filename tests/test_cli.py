@@ -324,7 +324,7 @@ class TestSimulateCommand:
         assert [float(d) for _, d in rows] == grid.density.tolist()
 
     def test_n_required_runs_no_repetitions_quadrature(self, monkeypatch, capsys):
-        def no_quadrature(alpha, rel_tol):
+        def no_quadrature(alpha):
             raise AssertionError("simulate ran the repetitions quadrature")
 
         monkeypatch.setattr(metrology, "_repetitions_integral", no_quadrature)

@@ -6,6 +6,7 @@ closed forms, and hand-checked special cases of the Gaussian probe.
 """
 
 import hashlib
+import inspect
 import math
 import random
 import time
@@ -14,7 +15,7 @@ from math import lgamma
 
 import pytest
 
-from qres import metrology
+from qres import metrology, probe
 from qres.errors import DomainError
 from qres.metrology import (
     bound_report,
@@ -77,7 +78,7 @@ class TestFisher:
         spec = ProbeSpec(20, 1e-3)
         with pytest.raises(DomainError, match="chi"):
             fisher_numeric(spec, chi=1e12)
-        for chi in (-1e3, 1e3):  # 1e6 widths, still within the default rel_tol
+        for chi in (-1e3, 1e3):  # 1e6 widths, still within the quadrature tolerance
             assert fisher_numeric(spec, chi) == pytest.approx(
                 fisher_closed(spec), rel=1e-8
             )
@@ -207,7 +208,6 @@ class TestRepetitionsRequired:
 
     def test_gaussian_is_closed_form_only_and_zero(self):
         estimate = repetitions_required(2)
-        assert estimate.closed_form_only
         assert estimate.quadrature is None
         assert estimate.closed_form == pytest.approx(0.0, abs=1e-10)
 
@@ -317,6 +317,31 @@ class TestPinnedQuadratures:
         )
 
 
+def test_every_quadrature_route_makes_one_call_at_one_policy(monkeypatch):
+    # the tolerance and starting panels of all three routes are set in one place
+    integrate = probe.integrate
+    signature = inspect.signature(integrate)
+    calls = []
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append((bound.arguments["rel_tol"], bound.arguments["initial_panels"]))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(probe, "integrate", recording)
+    spec = ProbeSpec(20, gamma_for_energy(20, 1.0 / 3.0))
+    routes = (
+        lambda: position_variance(spec),
+        lambda: fisher_numeric(spec, 0.3 * spec.gamma),
+        lambda: repetitions_required(20),
+    )
+    for route in routes:
+        calls.clear()
+        route()
+        assert calls == [(1e-8, 32)]
+
+
 # SHA-256 of float.hex of every field of bound_report(alpha, energy, 50) and
 # of fisher_numeric at chi = 0.7 gamma, for every even alpha at three
 # energies, recorded from the heap-ordered quadrature loop and re-pinned when
@@ -407,7 +432,7 @@ class TestBoundReport:
     def test_reports_the_closed_form_without_the_repetitions_quadrature(
         self, monkeypatch
     ):
-        def no_quadrature(alpha, rel_tol):
+        def no_quadrature(alpha):
             raise AssertionError("bound_report ran the repetitions quadrature")
 
         monkeypatch.setattr(metrology, "_repetitions_integral", no_quadrature)

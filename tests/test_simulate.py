@@ -28,7 +28,7 @@ from qres.simulate import (
     _LIKELIHOOD_BLOCK_CELLS,
     SampleSet,
     TrialSummary,
-    _log_likelihood,
+    _log_likelihoods,
     draw,
     draw_uniform,
     mle,
@@ -200,7 +200,7 @@ class TestMle:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             estimate = mle(samples)
-            grid = posterior(samples, center=estimate)
+            grid = posterior(samples)
         assert abs(estimate - midrange) < 3.0 * sigma
         assert abs(grid.mean - midrange) < 3.0 * sigma
 
@@ -236,7 +236,7 @@ def test_estimators_are_scale_and_translation_equivariant(
         warnings.simplefilter("error", RuntimeWarning)
         sets = (base, scaled, shifted)
         estimates = [mle(s) for s in sets]
-        grids = [posterior(s, center=m) for s, m in zip(sets, estimates)]
+        grids = [posterior(s) for s in sets]
 
     tol = _EQUIVARIANCE_RTOL * width
     assert abs(estimates[1] - c * estimates[0]) <= c * tol
@@ -261,7 +261,10 @@ def test_log_likelihood_matches_the_direct_sum(alpha, chi):
         direct = -2.0 * np.sum(np.abs(residuals) ** alpha, axis=0)
         # sums below the normal range carry no relative precision either way
         np.testing.assert_allclose(
-            _log_likelihood(samples, grid), direct, rtol=1e-12, atol=np.finfo(float).tiny
+            _log_likelihoods(spec, samples.outcomes[None], grid[None])[0],
+            direct,
+            rtol=1e-12,
+            atol=np.finfo(float).tiny,
         )
 
 
@@ -302,21 +305,12 @@ class TestPosterior:
             excess = _grid_moment(grid, 4) / grid.variance**2 - 3.0
             assert abs(excess) < 0.2
 
-    def test_degenerate_grid_raises_resolution_error(self):
-        spec = ProbeSpec(2, 1.0)
-        samples = draw(spec, 0.0, 50, RngStream(8, 0))
-        with pytest.raises(ResolutionError):
-            posterior(samples, grid_points=101, half_width=1e6)
-
-    def test_given_center_is_used_as_is(self):
-        spec = ProbeSpec(6, 1.0)
-        samples = draw(spec, 0.1, 40, RngStream(6, 1))
-        own = posterior(samples)
-        given_center = posterior(samples, center=mle(samples))
-        assert np.array_equal(given_center.grid, own.grid)
-        assert given_center.variance == own.variance
-        with pytest.raises(DomainError):
-            posterior(samples, center=float("nan"))
+    def test_degenerate_grid_raises_resolution_error(self, monkeypatch):
+        # this posterior converges only at 401 points
+        monkeypatch.setattr(simulate, "_GRID_MAX_POINTS", 201)
+        samples = draw(ProbeSpec(200, 1.0), 0.0, 20, RngStream(8, 0))
+        with pytest.raises(ResolutionError, match="within the cap of 201 grid points"):
+            posterior(samples)
 
     def test_memory_does_not_grow_with_sample_count(self):
         # the grid x N likelihood matrix took 2001 * 1e4 * 8 B = 160 MB here
@@ -390,7 +384,7 @@ def test_posterior_grids_evaluate_each_likelihood_value_once(monkeypatch):
     summary = run_trials(spec, None, 50, 0.2, 200, 7)
     monkeypatch.undo()
     final_cells = [
-        posterior(draw(spec, 0.2, 50, RngStream(7, j)), center=summary.mles[j]).grid.size * 50
+        posterior(draw(spec, 0.2, 50, RngStream(7, j))).grid.size * 50
         for j in range(200)
     ]
     assert cells["grid"] == sum(final_cells)
@@ -418,7 +412,7 @@ def test_trial_blocks_match_one_trial_at_a_time(
     for j in range(5):
         samples = sampler(spec, 0.2, n, RngStream(11, j))
         estimate = mle(samples)
-        grid = posterior(samples, grid_points, center=estimate)
+        grid = posterior(samples, grid_points)
         assert _same_bytes(summary.mles[j], estimate)
         assert _same_bytes(summary.posterior_means[j], grid.mean)
         assert _same_bytes(summary.posterior_variances[j], grid.variance)
