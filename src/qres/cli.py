@@ -168,7 +168,6 @@ def _cmd_simulate(args) -> int:
         args.trials,
         seed,
         grid_points=args.grid_points,
-        uniform_sampling=args.uniform_sampling,
     )
     if args.posterior_out:
         grid = summary.first_posterior
@@ -189,7 +188,6 @@ def _cmd_simulate(args) -> int:
         "energy_bound": summary.energy_bound,
         "approx_bound": energy_bound_approx(summary.alpha, summary.energy, args.n),
         "n_required": _repetitions_closed(summary.alpha),
-        "uniform_sampling": args.uniform_sampling,
         "seed": seed,
     }
     _emit_json(payload, args.out)
@@ -303,11 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_GRID_POINTS,
         help="starting (and smallest) posterior grid, odd and >= 101; it doubles "
         "until the posterior variance converges to 1e-12",
-    )
-    p.add_argument(
-        "--uniform-sampling",
-        action="store_true",
-        help="draw outcomes from the square-profile stand-in instead of the exact density",
     )
     p.add_argument("--posterior-out", default=None, help="also write the posterior curve as CSV")
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")

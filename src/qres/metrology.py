@@ -84,7 +84,8 @@ def fisher_closed(spec: ProbeSpec) -> float:
 
 # fisher_numeric's nodes about the shifted centre chi/gamma carry a rounding
 # error of ~|chi/gamma| 2^-52 widths: up to 1e6 widths the result stays within
-# probe._QUADRATURE_RTOL (7.8e-9 at alpha = 200); by 1e14 widths it is wrong.
+# the quadrature tolerance numerics._RTOL (7.8e-9 at alpha = 200); by 1e14
+# widths it is wrong.
 _SHIFT_MAX = 1e6
 
 

@@ -83,10 +83,11 @@ class RngStream:
         return self._stream_index
 
     def uniforms(self, size: int | None = None):
-        """Draw uniforms in [0, 1): a float for ``size=None``, else an array."""
+        """Draw uniforms in [0, 1): a float for ``size=None``, else an array
+        of ``size`` (an integer >= 0) uniforms."""
         if size is None:
             return float(self._generator.random())
-        return self._generator.random(size)
+        return self._generator.random(require_int("size", size, 0))
 
     def __repr__(self):
         return f"RngStream(seed={self._seed}, stream_index={self._stream_index})"
@@ -182,24 +183,25 @@ _W_GAUSS[1:14:2] = np.concatenate(
 
 _EVALS_PER_PANEL = 15
 
+# The one quadrature policy: the relative tolerance of the stopping test, the
+# equal panels seeding the subdivision, so that narrow features away from the
+# interval center are not missed by the first rule, and the node budget.
+_RTOL = 1e-8
+_INITIAL_PANELS = 32
+_MAX_EVALS = 1_000_000
 
-def integrate(
-    f,
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-10,
-    *,
-    abs_tol: float = 0.0,
-    max_evals: int = 1_000_000,
-    initial_panels: int = 8,
-) -> float:
-    """Globally adaptive Gauss-Kronrod quadrature of ``f`` over [lo, hi].
+
+def integrate(f, lo: float, hi: float) -> float:
+    """Globally adaptive Gauss-Kronrod quadrature of ``f`` over [lo, hi], at
+    one fixed policy: relative tolerance 1e-8, 32 equal starting panels and a
+    budget of 1e6 evaluations.
 
     The panels live in four arrays: lower and upper edges, Kronrod estimates
     and |Kronrod - Gauss| error surrogates.  Each round halves the worst
     eighth of them (at least one), largest surrogate first and ties by lower,
     then upper edge; subdivision stops once the summed surrogate is below
-    ``max(abs_tol, rel_tol * |I|)``.
+    1e-8 |I|.  Exceeding the budget raises :class:`AccuracyError` carrying
+    the best estimate.
 
     Integrand contract: ``f`` receives one flat 1-D array holding the 15
     nodes of every panel new in a round (many panels per call) and must
@@ -208,38 +210,16 @@ def integrate(
     estimate or total that overflows a float, raise :class:`DomainError` in
     the round where they occur.
 
-    Parameters
-    ----------
-    f : callable
-        Elementwise vectorized integrand.
-    lo, hi : float
-        Integration limits, ``lo < hi``, both finite; 2 max(|lo|, |hi|) must
-        be a float too, so that the nodes can be formed.
-    rel_tol : float
-        Requested relative accuracy.
-    abs_tol : float
-        Absolute floor for the stopping test; useful for integrals whose
-        exact value is zero, where a relative test can never be met.
-    max_evals : int
-        Node budget, at least 15 per initial panel.  Exceeding it raises
-        :class:`AccuracyError` carrying the best estimate.
-    initial_panels : int
-        Number of equal panels seeding the subdivision, so narrow features
-        away from the interval center are not missed by the first rule.
+    The limits must satisfy ``lo < hi``, both finite, and 2 max(|lo|, |hi|)
+    must be a float too, so that the nodes can be formed.
     """
     lo, hi = require_finite("lo", lo), require_finite("hi", hi)
     if not lo < hi:
         raise DomainError(f"invalid integration interval [{lo}, {hi}]")
     if not math.isfinite(2.0 * max(-lo, hi)):
         raise DomainError(f"integration interval [{lo!r}, {hi!r}] overflows a float")
-    rel_tol = require_positive("rel_tol", rel_tol)
-    abs_tol = require_finite("abs_tol", abs_tol)
-    if abs_tol < 0.0:
-        raise DomainError(f"abs_tol must be nonnegative, got {abs_tol!r}")
-    initial_panels = require_int("initial_panels", initial_panels, 1)
-    max_evals = require_int("max_evals", max_evals, _EVALS_PER_PANEL * initial_panels)
 
-    edges = np.linspace(lo, hi, initial_panels + 1)
+    edges = np.linspace(lo, hi, _INITIAL_PANELS + 1)
     lows, highs = edges[:-1], edges[1:]
     estimates = errors = np.empty(0)  # of the leading panels; the rest are new
     evals = 0
@@ -267,11 +247,11 @@ def integrate(
             total_error = math.fsum(errors.tolist())
         except OverflowError:
             raise DomainError("the quadrature total overflows a float") from None
-        if total_error <= max(abs_tol, rel_tol * abs(total)):
+        if total_error <= _RTOL * abs(total):
             return total
-        if evals + 2 * _EVALS_PER_PANEL > max_evals:
+        if evals + 2 * _EVALS_PER_PANEL > _MAX_EVALS:
             raise AccuracyError(
-                f"quadrature did not converge within {max_evals} evaluations "
+                f"quadrature did not converge within {_MAX_EVALS} evaluations "
                 f"(estimate {total!r}, error surrogate {total_error!r})",
                 best_estimate=total,
                 error_estimate=total_error,
@@ -279,7 +259,7 @@ def integrate(
         # halve the worst panels in bulk, within the budget, so the O(panels)
         # totals above are not recomputed per split; the next batch is their
         # left halves, then their right halves, worst first
-        budget = (max_evals - evals) // (2 * _EVALS_PER_PANEL)
+        budget = (_MAX_EVALS - evals) // (2 * _EVALS_PER_PANEL)
         splits = min(max(1, lows.size // 8), budget)
         order = np.lexsort((highs, lows, -errors))  # -errors is the primary key
         worst, keep = order[:splits], order[splits:]

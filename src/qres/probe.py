@@ -58,9 +58,6 @@ TAIL_EXPONENT = 350.0
 # exp(-2|p/gamma|^alpha) has underflowed to zero long before it.
 _EXP_CLIP = 705.0
 
-# Relative tolerance of every probe quadrature (see _unit_integral).
-_QUADRATURE_RTOL = 1e-8
-
 
 def validate_alpha(alpha: int) -> int:
     """Check the shape exponent: an even integer in [2, ALPHA_MAX]."""
@@ -180,8 +177,8 @@ def _stated(alpha, energy) -> tuple[ProbeSpec, float]:
 def _unit_integral(alpha: int, weight, shift: float = 0.0) -> float:
     """The integral of weight(power) P(u), u = t - shift, over the window of
     the unit-width probe centred at ``shift``: the one quadrature behind every
-    probe integral, at one policy (_QUADRATURE_RTOL, 32 starting panels).  It
-    is O(1) at any width, so callers rescale in the log domain.  ln|u| is
+    probe integral, at :func:`~qres.numerics.integrate`'s one policy.  It is
+    O(1) at any width, so callers rescale in the log domain.  ln|u| is
     taken once per node, and power(k) forms |u|^k (k > 0) from it, for the
     even weight and the density alike, as exp(k ln|u|) capped at _EXP_CLIP."""
     unit = ProbeSpec(alpha, 1.0)
@@ -197,9 +194,7 @@ def _unit_integral(alpha: int, weight, shift: float = 0.0) -> float:
 
         return weight(power) * np.exp(log_prefactor - 2.0 * power(alpha))
 
-    return integrate(
-        integrand, shift - window, shift + window, _QUADRATURE_RTOL, initial_panels=32
-    )
+    return integrate(integrand, shift - window, shift + window)
 
 
 def position_variance(spec: ProbeSpec) -> float:

@@ -36,14 +36,13 @@ from .errors import require_finite, require_int
 from .metrology import energy_bound, fisher_closed
 from .numerics import RngStream, _stream_generators
 from .numerics import sample_gamma  # noqa: F401  (perfbench/tracing.py wraps it)
-from .probe import ProbeSpec, _stated, mean_energy
+from .probe import ProbeSpec, _stated
 
 __all__ = [
     "PosteriorGrid",
     "SampleSet",
     "TrialSummary",
     "draw",
-    "draw_uniform",
     "mle",
     "posterior",
     "run_trials",
@@ -102,7 +101,9 @@ class SampleSet:
     """N simulated momentum outcomes for a true signal, with RNG provenance.
 
     Regenerating with the same (spec, chi_true, n, seed, stream_index)
-    reproduces ``outcomes`` bit-exactly.
+    reproduces ``outcomes`` bit-exactly.  ``spec`` must be a
+    :class:`~qres.probe.ProbeSpec` and ``outcomes`` a non-empty 1-D float64
+    array of finite values, else :class:`DomainError`.
     """
 
     spec: ProbeSpec
@@ -110,6 +111,22 @@ class SampleSet:
     outcomes: np.ndarray
     seed: int
     stream_index: int
+
+    def __post_init__(self):
+        if not isinstance(self.spec, ProbeSpec):
+            raise DomainError(f"spec must be a ProbeSpec, got {self.spec!r}")
+        outcomes = self.outcomes
+        if not (
+            isinstance(outcomes, np.ndarray)
+            and outcomes.dtype == np.float64
+            and outcomes.ndim == 1
+            and outcomes.size
+            and np.isfinite(outcomes).all()
+        ):
+            raise DomainError(
+                "outcomes must be a non-empty 1-D float64 array of finite values, "
+                f"got {outcomes!r}"
+            )
 
     @property
     def n(self) -> int:
@@ -160,28 +177,6 @@ def _exact_outcomes(spec: ProbeSpec, chi: float, n: int, generators, trials: int
     return w
 
 
-def _square_outcomes(spec: ProbeSpec, chi: float, n: int, generators, trials: int) -> np.ndarray:
-    """``n`` outcomes from each of the next ``trials`` generators, one row
-    per generator: see :func:`draw_uniform`."""
-    half = math.sqrt(3.0 * mean_energy(spec))
-    uniforms = np.empty((trials, n))
-    for row, generator in zip(uniforms, generators):
-        generator.random(out=row)
-    return chi + half * (2.0 * uniforms - 1.0)
-
-
-def _sample_set(rows, spec: ProbeSpec, chi: float, n: int, stream: RngStream) -> SampleSet:
-    n = require_int("n", n, 1)
-    chi = require_finite("chi", chi)
-    return SampleSet(
-        spec=spec,
-        chi_true=chi,
-        outcomes=rows(spec, chi, n, [stream._generator], 1)[0],
-        seed=stream.seed,
-        stream_index=stream.stream_index,
-    )
-
-
 def draw(spec: ProbeSpec, chi: float, n: int, stream: RngStream) -> SampleSet:
     """Draw ``n`` independent outcomes from the density shifted by ``chi``.
 
@@ -192,25 +187,22 @@ def draw(spec: ProbeSpec, chi: float, n: int, stream: RngStream) -> SampleSet:
     uniform-product form of the generalized Gaussian (Nardon & Pianca,
     J. Stat. Comput. Simul. 79:1317, 2009), is the one used: it takes the
     1/alpha root before anything can underflow, where g itself lies below
-    the smallest float for 2.4% of draws at alpha = 200.  W comes from
-    :func:`~qres.numerics.sample_gamma`'s sampler, then the stream's next
-    2n uniforms give U and the sign of p - chi.
+    the smallest float for 2.4% of draws at alpha = 200.  W comes from the
+    stream's generator's ``standard_gamma``, then the stream's next 2n
+    uniforms give U and the sign of p - chi.
 
     The stream is consumed; to regenerate the same set, pass a fresh stream
     with the same (seed, stream_index).
     """
-    return _sample_set(_exact_outcomes, spec, chi, n, stream)
-
-
-def draw_uniform(spec: ProbeSpec, chi: float, n: int, stream: RngStream) -> SampleSet:
-    """Draw outcomes from the square-profile stand-in for the probe density:
-    uniform on chi +- sqrt(3 * mean energy), which has the same variance.
-
-    At large alpha the probe density is close to this square profile, so the
-    shortcut is a useful cross-check of exact sampling; it is not exact and
-    :func:`draw` is the default everywhere.
-    """
-    return _sample_set(_square_outcomes, spec, chi, n, stream)
+    n = require_int("n", n, 1)
+    chi = require_finite("chi", chi)
+    return SampleSet(
+        spec=spec,
+        chi_true=chi,
+        outcomes=_exact_outcomes(spec, chi, n, [stream._generator], 1)[0],
+        seed=stream.seed,
+        stream_index=stream.stream_index,
+    )
 
 
 def _power_in_place(base: np.ndarray, k: int, spare: np.ndarray) -> None:
@@ -510,7 +502,6 @@ def run_trials(
     seed: int,
     grid_points: int = 101,
     compute_posterior: bool = True,
-    uniform_sampling: bool = False,
 ) -> TrialSummary:
     """Run ``trials`` independent estimation experiments on one probe, stated
     as ``(alpha, energy)`` or as ``(ProbeSpec, None)``, and aggregate them.
@@ -529,15 +520,12 @@ def run_trials(
     grid that starts at ``grid_points`` and doubles, up to 65537 points,
     until its variance converges to 1e-12 relative.
     ``compute_posterior=False`` skips the posterior grids (useful for large
-    estimator-variance studies where only the MLEs matter);
-    ``uniform_sampling=True`` draws outcomes from the square-profile
-    stand-in instead of the exact density.
+    estimator-variance studies where only the MLEs matter).
     """
     spec, energy = _stated(alpha, energy)
     trials = require_int("trials", trials, 1)
     n = require_int("n", n, 1)
     chi = require_finite("chi", chi)
-    sampler = _square_outcomes if uniform_sampling else _exact_outcomes
     generators = _stream_generators(seed, range(trials))
     if compute_posterior:
         points = _grid_points(grid_points)
@@ -552,7 +540,7 @@ def run_trials(
     for start in range(0, trials, per_block):
         block = slice(start, min(trials, start + per_block))
         count = block.stop - block.start
-        outcomes = sampler(spec, chi, n, islice(generators, count), count)
+        outcomes = _exact_outcomes(spec, chi, n, islice(generators, count), count)
         estimates[block] = _mles(spec, outcomes)
         if compute_posterior:
             posteriors[:, block], grid = _posteriors(spec, outcomes, estimates[block], points)

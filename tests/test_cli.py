@@ -239,7 +239,6 @@ class TestSimulateCommand:
             "energy_bound": 0.036473993587107956,
             "approx_bound": 0.0375,
             "n_required": 2.376879230452958,
-            "uniform_sampling": False,
             "seed": 5,
         },
         1: {
@@ -256,7 +255,6 @@ class TestSimulateCommand:
             "energy_bound": 0.036473993587107956,
             "approx_bound": 0.0375,
             "n_required": 2.376879230452958,
-            "uniform_sampling": False,
             "seed": 5,
         },
     }

@@ -2,7 +2,6 @@
 bad argument raises DomainError, never a bare TypeError or ValueError, and
 is never silently converted."""
 
-import math
 import warnings
 
 import numpy as np
@@ -33,6 +32,7 @@ from qres.probe import (
     mean_energy,
     position_variance,
 )
+from qres.simulate import SampleSet, mle
 
 NAN, INF = float("nan"), float("inf")
 REJECTED = DomainError
@@ -103,16 +103,27 @@ def _integrate_calls(cases):
     return {name: lambda c=case: integrate(*c[:3]) for name, case in cases.items()}
 
 
-# each of these was accepted, converted, or raised a bare TypeError/ValueError
+def _mle_of(outcomes):
+    """mle of a hand-built SampleSet holding ``outcomes``."""
+    return mle(SampleSet(ProbeSpec(20, 1.0), 0.0, outcomes, 0, 0))
+
+
+# each of these was accepted, converted, or raised a bare TypeError/ValueError;
+# mle returned nan for the set holding a nan, and for the one holding inf it
+# let RuntimeWarnings through before a ResolutionError
 PUBLIC_CASES = {
     "RngStream seed True": lambda: RngStream(True),
+    "RngStream uniforms size -1": lambda: RngStream(0).uniforms(-1),
+    "RngStream uniforms size 2.5": lambda: RngStream(0).uniforms(2.5),
+    "RngStream uniforms size True": lambda: RngStream(0).uniforms(True),
     "sample_gamma size 2.7": lambda: sample_gamma(0.5, RngStream(0), size=2.7),
     "sample_gamma size True": lambda: sample_gamma(0.5, RngStream(0), size=True),
-    "integrate initial_panels 2.5": lambda: integrate(
-        _integrand, 0.0, 1.0, initial_panels=2.5
-    ),
+    "mle of outcomes [nan, 1]": lambda: _mle_of(np.array([NAN, 1.0])),
+    "mle of outcomes [inf, 1]": lambda: _mle_of(np.array([INF, 1.0])),
+    "mle of outcomes []": lambda: _mle_of(np.array([])),
+    "mle of 2-D outcomes": lambda: _mle_of(np.ones((2, 3))),
+    "SampleSet spec 20": lambda: SampleSet(20, 0.0, np.ones(3), 0, 0),
     "integrate lo None": lambda: integrate(_integrand, None, 1.0),
-    "integrate abs_tol -1": lambda: integrate(_integrand, 0.0, 1.0, abs_tol=-1.0),
     "gamma_for_energy None": lambda: gamma_for_energy(2, None),
     "ProbeSpec gamma 'x'": lambda: ProbeSpec(2, "x"),
     "energy_bound energy 'abc'": lambda: energy_bound(2, "abc", 3),
@@ -123,21 +134,10 @@ PUBLIC_CASES = {
 
 @pytest.mark.parametrize("case", sorted(PUBLIC_CASES))
 def test_public_entries_raise_domain_error(case):
-    with pytest.raises(DomainError):
-        PUBLIC_CASES[case]()
-
-
-@pytest.mark.parametrize("tolerance", ["rel_tol", "abs_tol"])
-def test_nan_tolerance_is_rejected_before_any_evaluation(tolerance):
-    calls = []
-
-    def counting(x):
-        calls.append(x.size)
-        return x * x
-
-    with pytest.raises(DomainError):
-        integrate(counting, 0.0, 1.0, **{tolerance: math.nan})
-    assert calls == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            PUBLIC_CASES[case]()
 
 
 # each of these raised a bare OverflowError (an ArithmeticError) or returned

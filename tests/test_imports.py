@@ -1,8 +1,10 @@
 """Every name a qres module imports is used in that module, listed in its
 ``__all__``, or imported on a line marked ``# noqa: F401`` with the reason
-it is kept (as for a name that an outside tracer patches)."""
+it is kept (as for a name that an outside tracer patches); and every name in
+an ``__all__`` resolves to an attribute of its module."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -61,3 +63,16 @@ def test_the_guard_flags_unused_and_unexplained_imports():
 @pytest.mark.parametrize("path", _SOURCES, ids=[path.name for path in _SOURCES])
 def test_no_module_imports_a_name_it_does_not_use(path):
     assert _unused_imports(path.read_text()) == []
+
+
+_MODULES = [qres] + [
+    importlib.import_module(f"qres.{path.stem}")
+    for path in _SOURCES
+    if not path.stem.startswith("__")
+]
+
+
+@pytest.mark.parametrize("module", _MODULES, ids=[module.__name__ for module in _MODULES])
+def test_every_exported_name_resolves(module):
+    exported = getattr(module, "__all__", [])
+    assert [name for name in exported if not hasattr(module, name)] == []

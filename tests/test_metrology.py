@@ -6,7 +6,6 @@ closed forms, and hand-checked special cases of the Gaussian probe.
 """
 
 import hashlib
-import inspect
 import math
 import random
 import time
@@ -318,16 +317,13 @@ class TestPinnedQuadratures:
 
 
 def test_every_quadrature_route_makes_one_call_at_one_policy(monkeypatch):
-    # the tolerance and starting panels of all three routes are set in one place
+    # integrate takes no policy arguments: every route runs at its one policy
     integrate = probe.integrate
-    signature = inspect.signature(integrate)
     calls = []
 
-    def recording(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        calls.append((bound.arguments["rel_tol"], bound.arguments["initial_panels"]))
-        return integrate(*args, **kwargs)
+    def recording(f, lo, hi):
+        calls.append((lo, hi))
+        return integrate(f, lo, hi)
 
     monkeypatch.setattr(probe, "integrate", recording)
     spec = ProbeSpec(20, gamma_for_energy(20, 1.0 / 3.0))
@@ -339,7 +335,7 @@ def test_every_quadrature_route_makes_one_call_at_one_policy(monkeypatch):
     for route in routes:
         calls.clear()
         route()
-        assert calls == [(1e-8, 32)]
+        assert len(calls) == 1
 
 
 # SHA-256 of float.hex of every field of bound_report(alpha, energy, 50) and

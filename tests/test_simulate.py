@@ -30,7 +30,6 @@ from qres.simulate import (
     TrialSummary,
     _log_likelihoods,
     draw,
-    draw_uniform,
     mle,
     posterior,
     run_trials,
@@ -106,12 +105,6 @@ class TestDraw:
         b = draw(spec, 0.3, 257, RngStream(123, 9))
         assert np.array_equal(a.outcomes, b.outcomes)
         assert (a.seed, a.stream_index, a.n) == (123, 9, 257)
-
-    def test_uniform_stand_in(self):
-        spec = ProbeSpec(20, gamma_for_energy(20, 1.0 / 3.0))
-        samples = draw_uniform(spec, 0.0, 10**5, RngStream(2, 0))
-        assert np.abs(samples.outcomes).max() <= 1.0 + 1e-12
-        assert samples.outcomes.var() == pytest.approx(1.0 / 3.0, abs=5e-3)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -395,25 +388,30 @@ def _same_bytes(a, b) -> bool:
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
-# Blocks of 2 trials, so that 5 trials span three blocks, the last one short.
+# Blocks of 2 trials, so that 5 trials span three blocks, the last one short;
+# without posteriors a block holds _BLOCK_VALUES // n trials, and grid_points
+# is unused.
 @pytest.mark.parametrize("grid_points", [101, 2001])
-@pytest.mark.parametrize("uniform_sampling", [False, True])
+@pytest.mark.parametrize("compute_posterior", [False, True])
 @pytest.mark.parametrize("n", [1, 20, 50])
 @pytest.mark.parametrize("alpha", [2, 4, 20, 200])
 def test_trial_blocks_match_one_trial_at_a_time(
-    alpha, n, uniform_sampling, grid_points, monkeypatch
+    alpha, n, compute_posterior, grid_points, monkeypatch
 ):
-    monkeypatch.setattr(simulate, "_BLOCK_VALUES", 2 * max(n, grid_points))
+    values = max(n, grid_points) if compute_posterior else n
+    monkeypatch.setattr(simulate, "_BLOCK_VALUES", 2 * values)
     spec = ProbeSpec(alpha, gamma_for_energy(alpha, 1.0 / 3.0))
-    sampler = draw_uniform if uniform_sampling else draw
     summary = run_trials(
-        spec, None, n, 0.2, 5, 11, grid_points=grid_points, uniform_sampling=uniform_sampling
+        spec, None, n, 0.2, 5, 11, grid_points=grid_points, compute_posterior=compute_posterior
     )
+    if not compute_posterior:
+        assert summary.posterior_variances is None and summary.first_posterior is None
     for j in range(5):
-        samples = sampler(spec, 0.2, n, RngStream(11, j))
-        estimate = mle(samples)
+        samples = draw(spec, 0.2, n, RngStream(11, j))
+        assert _same_bytes(summary.mles[j], mle(samples))
+        if not compute_posterior:
+            continue
         grid = posterior(samples, grid_points)
-        assert _same_bytes(summary.mles[j], estimate)
         assert _same_bytes(summary.posterior_means[j], grid.mean)
         assert _same_bytes(summary.posterior_variances[j], grid.variance)
         assert _same_bytes(summary.posterior_errors[j], grid.variance_error)
@@ -537,16 +535,33 @@ class TestRunTrials:
         assert ratio_400 < ratio_50
         assert ratio_400 == pytest.approx(1.0, abs=0.15)
 
+    @pytest.mark.parametrize("alpha", [2, 4, 20, 100, 200])
+    def test_one_sample_posterior_is_the_reflected_density(self, alpha):
+        # with one outcome p the posterior of the signal x is P(p - x), whose
+        # variance is the probe's momentum variance, the mean energy
+        spec = ProbeSpec(alpha, gamma_for_energy(alpha, 1.0 / 3.0))
+        summary = run_trials(spec, None, 1, 0.3, 20, 2026)
+        np.testing.assert_allclose(
+            summary.posterior_variances, mean_energy(spec), rtol=simulate._GRID_RTOL, atol=0.0
+        )
+
+    @pytest.mark.parametrize("alpha", [2, 20, 200])
+    def test_posterior_mean_risk_is_the_mean_posterior_variance(self, alpha):
+        # Under a flat prior E[(posterior mean - chi)^2] = E[posterior
+        # variance] (the Pitman estimator's risk).  The paired differences
+        # must average to zero within 4 standard errors; the seed, the
+        # trial count and the bound were fixed before the first run.
+        chi, trials = 0.3, 3000
+        summary = run_trials(alpha, 1.0 / 3.0, 50, chi, trials, 2026)
+        gaps = (summary.posterior_means - chi) ** 2 - summary.posterior_variances
+        z = gaps.mean() / (gaps.std(ddof=1) / math.sqrt(trials))
+        assert abs(z) <= 4.0
+
     def test_signal_location_does_not_change_estimator_statistics(self):
         at_zero = run_trials(4, 1.0 / 3.0, 30, 0.0, 300, 9, compute_posterior=False)
         at_shift = run_trials(4, 1.0 / 3.0, 30, 0.4, 300, 9, compute_posterior=False)
         assert at_shift.mle_variance == pytest.approx(at_zero.mle_variance, rel=1e-6)
         assert at_shift.mle_mean - at_zero.mle_mean == pytest.approx(0.4, abs=1e-6)
-
-    def test_uniform_sampling_toggle(self):
-        exact = run_trials(20, 1.0 / 3.0, 30, 0.0, 20, 3)
-        square = run_trials(20, 1.0 / 3.0, 30, 0.0, 20, 3, uniform_sampling=True)
-        assert not np.array_equal(exact.mles, square.mles)
 
     def test_trials_validation(self):
         with pytest.raises(DomainError):
