@@ -66,12 +66,15 @@ _WINDOW_DROP = 40.0
 _GRID_RTOL = 1e-12
 _GRID_MAX_POINTS = 2**16 + 1
 
-# The summed log-likelihood L carries a rounding error of order eps * |L|,
-# which no grid refines away: at alpha = 2 and N = 1e6 it holds the two
-# variances up to 2.2 eps |L| apart on every grid up to 3201 points, and with
-# _GRID_RTOL alone the grid ran to the cap from N = 2e5.  So the tolerance
-# never falls below this multiple of |L| at the peak; |L| is about N / alpha,
-# so that floor passes _GRID_RTOL only beyond N of about 560 alpha.
+# The log-likelihood L summed directly over the samples, as at alpha >= 4,
+# carries a rounding error of order eps * |L| that no grid refines away.
+# Summed so at alpha = 2 and N = 1e6 it held the two variances up to
+# 2.2 eps |L| apart on every grid up to 3201 points, and with _GRID_RTOL
+# alone the grid ran to the cap; at alpha = 4 and N = 2e5 it does not settle
+# within 401 points.  So the tolerance never falls below this multiple of |L|
+# at the peak; |L| is about N / alpha, so that floor passes _GRID_RTOL only
+# beyond N of about 560 alpha.  The closed form at alpha = 2 needs no floor:
+# it settles on 101 points at N = 1e6 without one.
 _LIKELIHOOD_ROUNDING = 8.0 * np.finfo(float).eps
 
 _MLE_TOL_FACTOR = 1e-10
@@ -89,10 +92,11 @@ _MLE_MAX_STEPS = 200
 # then outgrow a core's cache.
 _BLOCK_VALUES = 2**15
 
-# Cells (trials x samples x grid points) per block of the likelihood sum.
-# The two block buffers, 256 kB each whatever the sample count, are
-# allocated once per call, so posterior memory is O(grid), not O(grid x N),
-# and the passes over a block stay in a core's cache.
+# Cells (trials x samples x grid points) per block of the likelihood sum at
+# alpha >= 4; alpha = 2 has a closed form and no blocks.  The two block
+# buffers, 256 kB each whatever the sample count, are allocated once per
+# call, so posterior memory is O(grid), not O(grid x N), and the passes over
+# a block stay in a core's cache.
 _LIKELIHOOD_BLOCK_CELLS = 2**15
 
 
@@ -231,15 +235,35 @@ def _log_likelihoods(spec: ProbeSpec, outcomes: np.ndarray, grids: np.ndarray) -
     is -2 sum_j |(p_tj - x) / gamma|^alpha on the candidates ``grids[t]``
     given the samples ``outcomes[t]``.
 
-    The cells are summed a block at a time: whole trials while one trial's
-    N x G cells fit in _LIKELIHOOD_BLOCK_CELLS, and blocks of one trial's
-    samples beyond that.  Alpha is even, so each cell is the squared scaled
-    residual raised to alpha/2 by binary powering.  Residuals are scaled
-    after the subtraction: dividing outcomes and grid by gamma first would
-    lose digits wherever p_j - x is small against p_j."""
+    At alpha = 2 the sum is taken about the row mean m, as
+    -2 [S + N ((x - m) / gamma)^2] with S = sum_j ((p_j - m) / gamma)^2:
+    both terms are non-negative, so nothing cancels, and a row costs
+    O(N + G) instead of O(N G).  S is a row sum, whose bits do not depend
+    on how many rows there are; np.einsum's buffered loop adds rows of more
+    than 8192 samples in another order in a block than alone.
+
+    At alpha >= 4 the cells are summed a block at a time: whole trials
+    while one trial's N x G cells fit in _LIKELIHOOD_BLOCK_CELLS, and blocks
+    of one trial's samples beyond that.  Alpha is even, so each cell is the
+    squared scaled residual raised to alpha/2 by binary powering.
+
+    Residuals are scaled after the subtraction: dividing outcomes and grid
+    by gamma first would lose digits wherever p_j - x is small against
+    p_j."""
     trials, n = outcomes.shape
-    size = grids.shape[1]
     inverse_gamma = 1.0 / spec.gamma
+    if spec.alpha == 2:
+        mean = outcomes.mean(axis=1, keepdims=True)
+        residuals = outcomes - mean
+        residuals *= inverse_gamma
+        residuals *= residuals
+        total = grids - mean
+        total *= inverse_gamma
+        total *= total
+        total *= n
+        total += residuals.sum(axis=1, keepdims=True)
+        return -2.0 * total
+    size = grids.shape[1]
     half_alpha = spec.alpha // 2
     rows = min(n, max(1, _LIKELIHOOD_BLOCK_CELLS // size))
     block = max(1, _LIKELIHOOD_BLOCK_CELLS // (rows * size))

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -205,6 +205,10 @@ _EQUIVARIANCE_RTOL = 1e-12
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
+# alpha = 2, which takes the likelihood's closed form, at both ends of the
+# energy range, whatever the search draws
+@example(half_alpha=1, log10_energy=-30.0, seed=0, log10_scale=-3.0, shift=-10.0)
+@example(half_alpha=1, log10_energy=30.0, seed=1, log10_scale=3.0, shift=10.0)
 @given(
     half_alpha=st.integers(min_value=1, max_value=100),
     log10_energy=st.floats(min_value=-30.0, max_value=30.0),
@@ -261,6 +265,36 @@ def test_log_likelihood_matches_the_direct_sum(alpha, chi):
         )
 
 
+@pytest.mark.parametrize("chi", [0.3, 25.0])
+def test_gaussian_log_likelihood_is_the_closed_form_at_large_n(chi, monkeypatch):
+    # the study-large-n benchmark's shape: N = 1e4 on a 101-point grid, whose
+    # direct sum takes an 8 MB matrix
+    spec = ProbeSpec(2, gamma_for_energy(2, 1.0 / 3.0))
+    grid = np.linspace(chi - 1.5 * spec.gamma, chi + 1.5 * spec.gamma, 101)
+    samples = draw(spec, chi, 10_000, RngStream(8, 10_000))
+    residuals = np.subtract.outer(samples.outcomes, grid) / spec.gamma
+    direct = -2.0 * np.sum(residuals**2, axis=0)
+    np.testing.assert_allclose(
+        _log_likelihoods(spec, samples.outcomes[None], grid[None])[0], direct, rtol=1e-12
+    )
+    # a block of rows, as run_trials passes, gives each row its bits alone
+    outcomes = np.stack([draw(spec, chi, 10_000, RngStream(8, j)).outcomes for j in range(3)])
+    grids = np.repeat(grid[None], 3, axis=0)
+    block = _log_likelihoods(spec, outcomes, grids)
+    for t in range(3):
+        alone = _log_likelihoods(spec, outcomes[t : t + 1], grids[t : t + 1])[0]
+        assert block[t].tobytes() == alone.tobytes()
+
+    def refuse(*args):
+        raise AssertionError("the alpha = 2 likelihood took the per-cell powers")
+
+    monkeypatch.setattr(simulate, "_power_in_place", refuse)
+    summary = run_trials(2, 1.0 / 3.0, 10_000, 0.0, 2, 9)
+    np.testing.assert_allclose(
+        summary.posterior_variances, (1.0 / 3.0) / 10_000, rtol=simulate._GRID_RTOL
+    )
+
+
 class TestPosterior:
     def test_gaussian_conjugacy(self):
         # for alpha=2 the posterior is exactly Gaussian with variance
@@ -268,8 +302,8 @@ class TestPosterior:
         spec = ProbeSpec(2, 1.0)
         samples = draw(spec, 0.0, 20, RngStream(5, 0))
         grid = posterior(samples)
-        assert grid.variance == pytest.approx(1.0 / 80.0, rel=1e-2)
-        assert grid.mean == pytest.approx(samples.outcomes.mean(), abs=1e-7)
+        assert grid.variance == pytest.approx(1.0 / 80.0, rel=simulate._GRID_RTOL)
+        assert grid.mean == pytest.approx(samples.outcomes.mean(), abs=1e-12)
         assert abs(_grid_moment(grid, 4) / grid.variance**2 - 3.0) < 1e-6
 
     def test_normalization(self):
@@ -305,9 +339,11 @@ class TestPosterior:
         with pytest.raises(ResolutionError, match="within the cap of 201 grid points"):
             posterior(samples)
 
-    def test_memory_does_not_grow_with_sample_count(self):
-        # the grid x N likelihood matrix took 2001 * 1e4 * 8 B = 160 MB here
-        samples = draw(ProbeSpec(2, 1.0), 0.0, 10**4, RngStream(4, 0))
+    @pytest.mark.parametrize("alpha", [2, 4])
+    def test_memory_does_not_grow_with_sample_count(self, alpha):
+        # a grid x N likelihood matrix would take 2001 * 1e4 * 8 B = 160 MB
+        # here: alpha = 2 takes the closed form, alpha = 4 the block sums
+        samples = draw(ProbeSpec(alpha, 1.0), 0.0, 10**4, RngStream(4, 0))
         tracemalloc.start()
         try:
             posterior(samples)
@@ -331,13 +367,27 @@ class TestPosterior:
         assert grid.grid.size == 2001
         assert grid.variance_error <= 1e-12
 
-    def test_large_n_converges_at_the_rounding_of_the_likelihood(self):
+    def test_large_n_converges_at_the_rounding_of_the_likelihood(self, monkeypatch):
         # the summed log-likelihood of 2e5 samples rounds at about 1e-11
-        # relative, so a 1e-12 tolerance alone refined this grid to its cap
+        # relative, so a 1e-12 tolerance alone does not settle this grid
+        samples = draw(ProbeSpec(4, 1.0), 0.0, 200_000, RngStream(4, 0))
+        grid = posterior(samples)
+        assert grid.grid.size == 101
+        assert simulate._GRID_RTOL < grid.variance_error <= 1e-10
+        monkeypatch.setattr(simulate, "_LIKELIHOOD_ROUNDING", 0.0)
+        monkeypatch.setattr(simulate, "_GRID_MAX_POINTS", 401)
+        with pytest.raises(ResolutionError, match="within the cap of 401 grid points"):
+            posterior(samples)
+
+    def test_gaussian_large_n_converges_without_the_rounding_floor(self, monkeypatch):
+        # per grid point the closed form adds one term to the constant S,
+        # where the direct sum rounds at each of its 2e5 additions, so
+        # _GRID_RTOL alone settles this grid
+        monkeypatch.setattr(simulate, "_LIKELIHOOD_ROUNDING", 0.0)
         samples = draw(ProbeSpec(2, 1.0), 0.0, 200_000, RngStream(4, 0))
         grid = posterior(samples)
         assert grid.grid.size == 101
-        assert grid.variance == pytest.approx(1.0 / 800_000, rel=1e-10)
+        assert grid.variance == pytest.approx(1.0 / 800_000, rel=1e-11)
 
     @pytest.mark.parametrize("n", [20, 50])
     @pytest.mark.parametrize("alpha", [100, 200])
