@@ -1,7 +1,8 @@
 """Numerical kernel: log-gamma (the standard library's ``lgamma`` behind the
 package's argument check), adaptive quadrature, gamma-variate sampling
 (numpy's ``Generator.standard_gamma``: Marsaglia-Tsang for shape > 1), and
-reproducible seeded random streams.
+reproducible seeded random streams, whose generators also give the package
+its uniforms and normals.
 
 Everything here is deterministic given its inputs.  Randomness enters only
 through :class:`RngStream`, an explicit value owned and advanced by the
@@ -57,12 +58,13 @@ class RngStream:
     building this object (:func:`_stream_generators`); the re-keyed state is
     the one ``RngStream(seed, j)`` starts in, so the bytes are the same.
 
-    This module draws uniforms and gamma variates from the underlying
-    generator, and every other distribution used by this package is built on
-    them.  The same (seed, stream_index) gives the same bytes on one numpy
-    build.  Across numpy releases the gamma bytes may change, since numpy
-    may change the stream of a ``Generator`` method between releases, and
-    the values built on them depend on numpy's pow, exp and log kernels too.
+    The package draws uniforms, gamma variates and standard normals (the
+    Gaussian probe's outcomes) from the underlying generator, and every
+    other distribution it uses is built on them.  The same
+    (seed, stream_index) gives the same bytes on one numpy build.  Across
+    numpy releases the gamma and normal bytes may change, since numpy may
+    change the stream of a ``Generator`` method between releases, and the
+    values built on them depend on numpy's pow, exp and log kernels too.
 
     A stream is a stateful value with a single owner: consecutive calls to
     :meth:`uniforms` advance it.  Recreate the object to replay a sequence.

@@ -162,21 +162,24 @@ class PosteriorGrid:
 def _exact_outcomes(spec: ProbeSpec, chi: float, n: int, generators, trials: int) -> np.ndarray:
     """``n`` outcomes from each of the next ``trials`` generators, one row
     per generator: see :func:`draw`."""
-    root = 1.0 / spec.alpha
     w = np.empty((trials, n))
-    uniforms = np.empty((trials, 2 * n))
+    if spec.alpha == 2:
+        for row, generator in zip(w, generators):
+            generator.standard_normal(out=row)
+        w *= 0.5 * spec.gamma
+        w += chi
+        return w
+    root = 1.0 / spec.alpha
+    uniforms = np.empty((trials, n))
     for row, uniform_row, generator in zip(w, uniforms, generators):
         generator.standard_gamma(1.0 + root, out=row)
         generator.random(out=uniform_row)
     w **= root  # in place, so that a block's temporaries stay few
-    w *= uniforms[:, :n]
-    w *= spec.gamma * 2.0 ** -root
-    # w >= 0, and u - 0.5 < 0 exactly when u < 0.5, so this negates the
-    # outcomes whose sign uniform is below one half, in place: -(x c) is
-    # x (-c) exactly.  A masked np.negative takes twice as long as a product.
-    signs = uniforms[:, n:]
-    signs -= 0.5
-    np.copysign(w, signs, out=w)
+    # v = 2u - 1, exact: the factor U = |v| and the sign of v in one uniform
+    uniforms *= 2.0
+    uniforms -= 1.0
+    w *= uniforms
+    w *= spec.gamma * 2.0**-root
     w += chi
     return w
 
@@ -184,7 +187,12 @@ def _exact_outcomes(spec: ProbeSpec, chi: float, n: int, generators, trials: int
 def draw(spec: ProbeSpec, chi: float, n: int, stream: RngStream) -> SampleSet:
     """Draw ``n`` independent outcomes from the density shifted by ``chi``.
 
-    Exact sampling: |p - chi| = gamma * 2^(-1/alpha) * g^(1/alpha) with
+    Exact sampling, by one of two routes.  At alpha = 2 the density
+    exp(-2 ((p - chi) / gamma)^2) is the normal law N(chi, (gamma / 2)^2),
+    so p = chi + (gamma / 2) Z with Z from the stream's generator's
+    ``standard_normal``, one variate per outcome.
+
+    At alpha >= 4, |p - chi| = gamma * 2^(-1/alpha) * g^(1/alpha) with
     g ~ Gamma(1/alpha) has the probe density, and so does
     gamma * 2^(-1/alpha) * W^(1/alpha) * U with W ~ Gamma(1 + 1/alpha) and U
     uniform, since g = W U^alpha in law.  The second form, the
@@ -192,8 +200,10 @@ def draw(spec: ProbeSpec, chi: float, n: int, stream: RngStream) -> SampleSet:
     J. Stat. Comput. Simul. 79:1317, 2009), is the one used: it takes the
     1/alpha root before anything can underflow, where g itself lies below
     the smallest float for 2.4% of draws at alpha = 200.  W comes from the
-    stream's generator's ``standard_gamma``, then the stream's next 2n
-    uniforms give U and the sign of p - chi.
+    stream's generator's ``standard_gamma``, then one uniform u per outcome
+    gives v = 2u - 1, which is exact: U = |v| and the sign of p - chi is
+    the sign of v.  The 2^53 values of u map to 2^52 equally spaced values
+    of |v| on each sign, independent of it, so U keeps 52 random bits.
 
     The stream is consumed; to regenerate the same set, pass a fresh stream
     with the same (seed, stream_index).
@@ -309,11 +319,15 @@ def _mles(spec: ProbeSpec, outcomes: np.ndarray) -> np.ndarray:
     scale = 0.5 * (hi - lo)
     x = lo + scale
     half_step = scale  # half the last step; before the first, half the bracket
+    # the step's arrays, allocated once per call: their leading rows serve
+    # the rows still going, so no step allocates a (rows, N) array
+    buffers = np.empty((3,) + samples.shape)
     for _ in range(_MLE_MAX_STEPS):
-        r = samples - x[:, None]  # in place from here, as in _exact_outcomes
+        r, weights, spare = buffers[:, : len(x)]
+        np.subtract(samples, x[:, None], out=r)
         r /= scale[:, None]
-        weights = np.abs(r)
-        weights **= alpha - 2
+        np.multiply(r, r, out=weights)
+        _power_in_place(weights, alpha // 2 - 1, spare)
         # one dot product per row, as r @ w; a row sum of r * w would add
         # in another order
         score = np.matmul(r[:, None, :], weights[:, :, None])[:, 0, 0]
@@ -345,8 +359,11 @@ def mle(samples: SampleSet) -> float:
     The unique minimizer of sum_j |p_j - x|^alpha, found to 1e-10 * gamma as
     the root of the decreasing score sum_j sign(r_j) |r_j|^(alpha - 1) by
     Newton steps safeguarded with bisection on [min p_j, max p_j].  The
-    residuals r_j = (p_j - x) / s are scaled by the sample half-range s, so
-    the largest is O(1) and no power can overflow or underflow to a wrong
+    score is taken by multiplication alone, as sum_j r_j w_j with the
+    weights w_j = (r_j^2)^(alpha/2 - 1) raised by binary powering, which
+    also give the Newton slope; alpha is even, so no float pow is needed.
+    The residuals r_j = (p_j - x) / s are scaled by the sample half-range s,
+    so the largest is O(1) and no power can overflow or underflow to a wrong
     root at any alpha or energy.  For alpha = 2 this is the sample mean; as
     alpha grows it approaches the midrange.  Raises :class:`ResolutionError`
     if the root is not found within 200 steps, rather than return an
@@ -386,33 +403,37 @@ def _grid_points(grid_points) -> int:
     return points
 
 
-def _posteriors(spec: ProbeSpec, outcomes: np.ndarray, centers: np.ndarray, points: int) -> tuple:
-    """Posterior of each row of ``outcomes`` around its ``centers`` entry,
-    as :func:`posterior` builds it: the rows' means, variances and variance
-    errors stacked in a (3, trials) array, and row 0's grid.
+def _posteriors(spec: ProbeSpec, centred: np.ndarray, centers: np.ndarray, points: int) -> tuple:
+    """Posterior of each row of samples around its ``centers`` entry, as
+    :func:`posterior` builds it, given ``centred``, each row's samples less
+    that entry: the rows' means, variances and variance errors stacked in a
+    (3, trials) array, and row 0's grid.
 
     Every row starts on ``points`` points, and the rows whose variance has
-    not converged double together."""
-    trials, n = outcomes.shape
+    not converged double together.
+
+    The window and grids are offsets from 0, and the centers are added back
+    to the means, the maximum and row 0's grid: formed in absolute
+    coordinates, the grid and the residuals p_j - x round by an amount that
+    grows with |chi|."""
+    trials, n = centred.shape
     start = _GRID_SIGMAS / math.sqrt(n * fisher_closed(spec))
     offsets = np.repeat([[-start, start]], trials, axis=0)
-    probes = _log_likelihoods(spec, outcomes, centers[:, None] + np.array([0.0, -start, start]))
+    probes = _log_likelihoods(spec, centred, np.repeat([[0.0, -start, start]], trials, axis=0))
     floor, edges = probes[:, :1] - _WINDOW_DROP, probes[:, 1:]
     # a NaN edge compares False and stops widening its side; a row with
     # one shallow side probes both edges, the other one unmoved
     while (shallow := edges > floor).any():
         offsets[shallow] *= _WINDOW_GROWTH
         wider = shallow.any(axis=1)
-        edges[wider] = _log_likelihoods(
-            spec, _rows(outcomes, wider), centers[wider, None] + offsets[wider]
-        )
-    lo, hi = centers + offsets[:, 0], centers + offsets[:, 1]
+        edges[wider] = _log_likelihoods(spec, _rows(centred, wider), offsets[wider])
+    lo, hi = offsets[:, 0], offsets[:, 1]
 
     stats = np.empty((3, trials))
     first = None
     index = np.arange(trials)
     grid = _grids(lo, hi, points)
-    log_w = _log_likelihoods(spec, outcomes, grid)
+    log_w = _log_likelihoods(spec, centred, grid)
     while True:
         dx = grid[:, 1] - grid[:, 0]
         peak = log_w.max(axis=1)
@@ -426,14 +447,15 @@ def _posteriors(spec: ProbeSpec, outcomes: np.ndarray, centers: np.ndarray, poin
             coarse = _moments(grid[:, ::2], weights[:, ::2], 2.0 * dx)[2]
             error = np.abs(coarse - variance) / variance
         done = occupied & (error <= np.maximum(_GRID_RTOL, _LIKELIHOOD_ROUNDING * np.abs(peak)))
+        mean += centers[index]
         stats[:, index[done]] = mean[done], variance[done], error[done]
         if index[0] == 0 and done[0]:
             first = PosteriorGrid(
-                grid=grid[0].copy(),
+                grid=grid[0] + centers[0],
                 log_weights=log_w[0] - peak[0] - math.log(norm[0]),
                 mean=float(mean[0]),
                 variance=float(variance[0]),
-                map_estimate=float(grid[0, int(np.argmax(log_w[0]))]),
+                map_estimate=float(grid[0, int(np.argmax(log_w[0]))] + centers[0]),
                 variance_error=float(error[0]),
             )
         going = ~done
@@ -446,14 +468,14 @@ def _posteriors(spec: ProbeSpec, outcomes: np.ndarray, centers: np.ndarray, poin
                 "points: its mass falls into fewer than 3 cells or its variance "
                 "has not converged"
             )
-        index, outcomes, log_w = index[going], _rows(outcomes, going), log_w[going]
+        index, centred, log_w = index[going], _rows(centred, going), log_w[going]
         lo, hi = lo[going], hi[going]
         # each row steps by (hi - lo) / (points - 1), exactly half its old
         # step, so the even points of the finer grid are the old grid
         grid = _grids(lo, hi, points)
         finer = np.empty(grid.shape)
         finer[:, ::2] = log_w
-        finer[:, 1::2] = _log_likelihoods(spec, outcomes, grid[:, 1::2])
+        finer[:, 1::2] = _log_likelihoods(spec, centred, grid[:, 1::2])
         log_w = finer
 
 
@@ -466,6 +488,8 @@ def posterior(samples: SampleSet, grid_points: int = 101) -> PosteriorGrid:
     Each side then widens by 1.5x until the log-likelihood at its edge lies
     at least 40 nats below its value at the estimate; the log-likelihood is
     concave, so the posterior beyond either edge is below e^-40 of its peak.
+    The samples are centred on the estimate and the grid is built as offsets
+    from it, so its rounding does not grow with the size of the signal.
 
     ``grid_points`` (odd, at least 101) is the starting and smallest grid.
     While the variance from every other point differs from the full grid's
@@ -480,7 +504,9 @@ def posterior(samples: SampleSet, grid_points: int = 101) -> PosteriorGrid:
     before the variance converges, or when the variance degenerates.
     """
     points = _grid_points(grid_points)
-    return _posteriors(samples.spec, samples.outcomes[None], np.array([mle(samples)]), points)[1]
+    center = mle(samples)
+    centred = samples.outcomes[None] - center
+    return _posteriors(samples.spec, centred, np.array([center]), points)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -567,6 +593,7 @@ def run_trials(
         outcomes = _exact_outcomes(spec, chi, n, islice(generators, count), count)
         estimates[block] = _mles(spec, outcomes)
         if compute_posterior:
+            outcomes -= estimates[block, None]  # in place: no other stage reads them
             posteriors[:, block], grid = _posteriors(spec, outcomes, estimates[block], points)
             if start == 0:
                 first_posterior = grid

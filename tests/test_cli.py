@@ -232,10 +232,10 @@ class TestSimulateCommand:
             "n": 10,
             "trials": 3,
             "chi_true": 0.0,
-            "mle": 0.09239453849118151,
-            "mle_variance": 0.06219066359688284,
-            "posterior_mean": 0.07703232090197372,
-            "posterior_variance": 0.045389170501362285,
+            "mle": -0.04806738610962747,
+            "mle_variance": 0.011199944493088086,
+            "posterior_mean": -0.046159502743069014,
+            "posterior_variance": 0.0430316569244678,
             "energy_bound": 0.036473993587107956,
             "approx_bound": 0.0375,
             "n_required": 2.376879230452958,
@@ -248,10 +248,10 @@ class TestSimulateCommand:
             "n": 10,
             "trials": 1,
             "chi_true": 0.0,
-            "mle": 0.37160805407165176,
+            "mle": 0.06693011133615116,
             "mle_variance": None,
-            "posterior_mean": 0.36180545902063016,
-            "posterior_variance": 0.03513729579303469,
+            "posterior_mean": 0.06195286311544355,
+            "posterior_variance": 0.03131300707947954,
             "energy_bound": 0.036473993587107956,
             "approx_bound": 0.0375,
             "n_required": 2.376879230452958,
