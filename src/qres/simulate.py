@@ -10,8 +10,11 @@ a flat prior,
 
 on a uniform grid over the window where the log-likelihood stays within 40
 nats of its value at the estimate, doubled until the posterior variance
-converges.  Repeated-trial studies compare
-the empirical estimator variance and the mean posterior variance against the
+converges.  For even alpha the log-likelihood is a polynomial of degree
+alpha in x: at alpha = 2 it is taken in closed form, and at alpha >= 4 a
+well-conditioned row interpolates it from alpha + 1 direct sums at the
+Chebyshev points of its window.  Repeated-trial studies compare the
+empirical estimator variance and the mean posterior variance against the
 energy-constrained bound.
 
 Studies run their trials in blocks: each stage draws, solves or integrates
@@ -66,15 +69,18 @@ _WINDOW_DROP = 40.0
 _GRID_RTOL = 1e-12
 _GRID_MAX_POINTS = 2**16 + 1
 
-# The log-likelihood L summed directly over the samples, as at alpha >= 4,
-# carries a rounding error of order eps * |L| that no grid refines away.
-# Summed so at alpha = 2 and N = 1e6 it held the two variances up to
-# 2.2 eps |L| apart on every grid up to 3201 points, and with _GRID_RTOL
-# alone the grid ran to the cap; at alpha = 4 and N = 2e5 it does not settle
-# within 401 points.  So the tolerance never falls below this multiple of |L|
-# at the peak; |L| is about N / alpha, so that floor passes _GRID_RTOL only
-# beyond N of about 560 alpha.  The closed form at alpha = 2 needs no floor:
-# it settles on 101 points at N = 1e6 without one.
+# The log-likelihood L summed directly over the samples, as at alpha >= 4
+# off the Chebyshev route, carries a rounding error of order eps * |L| that
+# no grid refines away.  Summed so at alpha = 2 and N = 1e6 it held the two
+# variances up to 2.2 eps |L| apart on every grid up to 3201 points, and
+# with _GRID_RTOL alone the grid ran to the cap; at alpha = 4 and N = 2e5 it
+# does not settle within 401 points.  So the tolerance never falls below
+# this multiple of |L| at the peak; |L| is about N / alpha, so that floor
+# passes _GRID_RTOL only beyond N of about 560 alpha.  The closed form at
+# alpha = 2 needs no floor: it settles on 101 points at N = 1e6 without one.
+# The Chebyshev route rounds less from cell to cell, since its nodes'
+# rounding enters every cell through one polynomial: at alpha = 4 and
+# N = 2e5 it settles within 201 points without the floor.
 _LIKELIHOOD_ROUNDING = 8.0 * np.finfo(float).eps
 
 _MLE_TOL_FACTOR = 1e-10
@@ -98,6 +104,13 @@ _BLOCK_VALUES = 2**15
 # call, so posterior memory is O(grid), not O(grid x N), and the passes over
 # a block stay in a core's cache.
 _LIKELIHOOD_BLOCK_CELLS = 2**15
+
+# The Chebyshev route's bound on alpha eps kappa (see _chebyshev_rows).  Over
+# 200 trials at each of 11 shapes from (alpha, N) = (4, 10) to (48, 400), a
+# cell's error relative to the direct sum was at most 0.52 alpha eps kappa,
+# so an admitted row's cells stay within about 5e-13 of it.  At the
+# criterion-4 shape (alpha = 20, N = 50) the bound admits about 90% of rows.
+_CHEBYSHEV_BOUND = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,17 +253,42 @@ def _power_in_place(base: np.ndarray, k: int, spare: np.ndarray) -> None:
         spare *= spare
 
 
+def _gaussian_terms(spec: ProbeSpec, outcomes: np.ndarray) -> tuple:
+    """Row mean m and S = sum_j ((p_j - m) / gamma)^2 of each row, as
+    (trials, 1) columns: the state of the alpha = 2 closed form.  S is a row
+    sum, whose bits do not depend on how many rows there are; np.einsum's
+    buffered loop adds rows of more than 8192 samples in another order in a
+    block than alone."""
+    mean = outcomes.mean(axis=1, keepdims=True)
+    residuals = outcomes - mean
+    residuals *= 1.0 / spec.gamma
+    residuals *= residuals
+    return mean, residuals.sum(axis=1, keepdims=True)
+
+
+def _gaussian_log_likelihoods(
+    spec: ProbeSpec, n: int, mean: np.ndarray, total: np.ndarray, grids: np.ndarray
+) -> np.ndarray:
+    """-2 [S + N ((x - m) / gamma)^2] on each row's grid, given the
+    :func:`_gaussian_terms` m and S of ``n`` samples per row."""
+    cells = grids - mean
+    cells *= 1.0 / spec.gamma
+    cells *= cells
+    cells *= n
+    cells += total
+    return -2.0 * cells
+
+
 def _log_likelihoods(spec: ProbeSpec, outcomes: np.ndarray, grids: np.ndarray) -> np.ndarray:
     """Unnormalized log-likelihoods of the signal, one row per trial: row t
     is -2 sum_j |(p_tj - x) / gamma|^alpha on the candidates ``grids[t]``
-    given the samples ``outcomes[t]``.
+    given the samples ``outcomes[t]``.  This is the direct route, which
+    every other route is tested against.
 
     At alpha = 2 the sum is taken about the row mean m, as
     -2 [S + N ((x - m) / gamma)^2] with S = sum_j ((p_j - m) / gamma)^2:
     both terms are non-negative, so nothing cancels, and a row costs
-    O(N + G) instead of O(N G).  S is a row sum, whose bits do not depend
-    on how many rows there are; np.einsum's buffered loop adds rows of more
-    than 8192 samples in another order in a block than alone.
+    O(N + G) instead of O(N G).
 
     At alpha >= 4 the cells are summed a block at a time: whole trials
     while one trial's N x G cells fit in _LIKELIHOOD_BLOCK_CELLS, and blocks
@@ -261,18 +299,9 @@ def _log_likelihoods(spec: ProbeSpec, outcomes: np.ndarray, grids: np.ndarray) -
     by gamma first would lose digits wherever p_j - x is small against
     p_j."""
     trials, n = outcomes.shape
-    inverse_gamma = 1.0 / spec.gamma
     if spec.alpha == 2:
-        mean = outcomes.mean(axis=1, keepdims=True)
-        residuals = outcomes - mean
-        residuals *= inverse_gamma
-        residuals *= residuals
-        total = grids - mean
-        total *= inverse_gamma
-        total *= total
-        total *= n
-        total += residuals.sum(axis=1, keepdims=True)
-        return -2.0 * total
+        return _gaussian_log_likelihoods(spec, n, *_gaussian_terms(spec, outcomes), grids)
+    inverse_gamma = 1.0 / spec.gamma
     size = grids.shape[1]
     half_alpha = spec.alpha // 2
     rows = min(n, max(1, _LIKELIHOOD_BLOCK_CELLS // size))
@@ -295,11 +324,6 @@ def _log_likelihoods(spec: ProbeSpec, outcomes: np.ndarray, grids: np.ndarray) -
     return -2.0 * total
 
 
-def _rows(array: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """``array[keep]``, without a copy when ``keep`` selects every row."""
-    return array if keep.all() else array[keep]
-
-
 def _mles(spec: ProbeSpec, outcomes: np.ndarray) -> np.ndarray:
     """Maximum-likelihood estimate of each row of ``outcomes``: see
     :func:`mle`.  The safeguarded Newton steps run over every unconverged
@@ -314,7 +338,9 @@ def _mles(spec: ProbeSpec, outcomes: np.ndarray) -> np.ndarray:
     if not active.any():
         return estimates
     index = np.flatnonzero(active)
-    samples, lo, hi = _rows(outcomes, active), lo[active], hi[active]
+    # no copy when every row is active
+    samples = outcomes if active.all() else outcomes[active]
+    lo, hi = lo[active], hi[active]
     tol = _MLE_TOL_FACTOR * spec.gamma
     scale = 0.5 * (hi - lo)
     x = lo + scale
@@ -403,6 +429,104 @@ def _grid_points(grid_points) -> int:
     return points
 
 
+def _chebyshev_points(degree: int) -> np.ndarray:
+    """The degree + 1 Chebyshev points of the second kind on [-1, 1] in
+    increasing order, taken as sines so that they are symmetric and hold 0
+    and +-1 exactly."""
+    return np.sin(np.pi / (2 * degree) * np.arange(-degree, degree + 1, 2))
+
+
+def _barycentric_matrix(degree: int, positions: np.ndarray) -> np.ndarray:
+    """The (degree + 1, len(positions)) matrix that takes the values of a
+    polynomial of that degree at :func:`_chebyshev_points` to its values at
+    ``positions`` in [-1, 1]: the second (true) barycentric formula, with
+    weights (-1)^k halved at both ends (Berrut & Trefethen, SIAM Rev.
+    46:501, 2004).  A position on a node takes that node's value."""
+    weights = np.ones(degree + 1)
+    weights[1::2] = -1.0
+    weights[[0, -1]] *= 0.5
+    difference = positions - _chebyshev_points(degree)[:, None]
+    on_node = difference == 0.0
+    difference[on_node] = 1.0
+    terms = weights[:, None] / difference
+    matrix = terms / terms.sum(axis=0)
+    hit = on_node.any(axis=0)
+    matrix[:, hit] = on_node[:, hit]
+    return matrix
+
+
+def _chebyshev_rows(alpha: int, centre: np.ndarray, edges: np.ndarray, points: int) -> np.ndarray:
+    """Which rows take the Chebyshev route, from each row's log-likelihood
+    L at the centre and at its two final window edges, (trials, 2).
+
+    L is concave with its peak at the centre, so |L| is smallest there and
+    largest at an edge, and kappa = max|L| / |L(0)| bounds the ratio of the
+    route's absolute error, about alpha eps max|L|, to any cell's |L|.  A
+    row is admitted while alpha eps kappa <= _CHEBYSHEV_BOUND and the
+    alpha + 1 nodes are at most half the (points - 1) grid steps.  One
+    sample, or two at alpha = 20 (where L(0) is 0 or tiny), is refused, as
+    is alpha >= 50 on 101 points."""
+    if alpha == 2 or 2 * (alpha + 1) > points - 1:
+        return np.zeros(len(centre), dtype=bool)
+    # an infinite or NaN kappa compares False
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.abs(edges).max(axis=1) / np.abs(centre)
+    return alpha * np.finfo(float).eps * kappa <= _CHEBYSHEV_BOUND
+
+
+def _row_likelihoods(spec: ProbeSpec, centred: np.ndarray):
+    """The log-likelihood of the rows of a block as one function
+    f(rows, grids), row ``rows[i]`` on ``grids[i]``, over a state built once
+    per block: each row's mean and S of the closed form at alpha = 2, its
+    samples for the direct sum at alpha >= 4."""
+
+    def take(array, rows):
+        return array if rows.size == len(array) else array[rows]
+
+    if spec.alpha == 2:
+        n = centred.shape[1]
+        mean, total = _gaussian_terms(spec, centred)
+        return lambda rows, grids: _gaussian_log_likelihoods(
+            spec, n, take(mean, rows), take(total, rows), grids
+        )
+    return lambda rows, grids: _log_likelihoods(spec, take(centred, rows), grids)
+
+
+def _chebyshev_nodes(lo: np.ndarray, hi: np.ndarray, degree: int) -> np.ndarray:
+    """The :func:`_chebyshev_points` mapped onto each window [lo, hi], one
+    row per window."""
+    middle, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return middle[:, None] + half[:, None] * _chebyshev_points(degree)
+
+
+def _interpolated(values: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Each row's polynomial, given by its values at the
+    :func:`_chebyshev_points`, at ``positions`` of [-1, 1].  The product
+    with the barycentric matrix is a batch of one-row products, so that a
+    row's bits do not depend on how many rows there are."""
+    matrix = _barycentric_matrix(values.shape[1] - 1, positions)
+    return np.matmul(values[:, None], matrix)[:, 0]
+
+
+def _windows(spec: ProbeSpec, likelihood, trials: int, n: int) -> tuple:
+    """Each row's posterior window [lo, hi], as offsets from the centre
+    where its samples are centred, with its log-likelihood at the centre and
+    at both final edges, (trials, 2): see :func:`posterior`.  ``likelihood``
+    is the block's :func:`_row_likelihoods`."""
+    index = np.arange(trials)
+    start = _GRID_SIGMAS / math.sqrt(n * fisher_closed(spec))
+    offsets = np.repeat([[-start, start]], trials, axis=0)
+    probes = likelihood(index, np.repeat([[0.0, -start, start]], trials, axis=0))
+    floor, edges = probes[:, :1] - _WINDOW_DROP, probes[:, 1:]
+    # a NaN edge compares False and stops widening its side; a row with
+    # one shallow side probes both edges, the other one unmoved
+    while (shallow := edges > floor).any():
+        offsets[shallow] *= _WINDOW_GROWTH
+        wider = shallow.any(axis=1)
+        edges[wider] = likelihood(index[wider], offsets[wider])
+    return offsets[:, 0], offsets[:, 1], probes[:, 0], edges
+
+
 def _posteriors(spec: ProbeSpec, centred: np.ndarray, centers: np.ndarray, points: int) -> tuple:
     """Posterior of each row of samples around its ``centers`` entry, as
     :func:`posterior` builds it, given ``centred``, each row's samples less
@@ -410,30 +534,44 @@ def _posteriors(spec: ProbeSpec, centred: np.ndarray, centers: np.ndarray, point
     (3, trials) array, and row 0's grid.
 
     Every row starts on ``points`` points, and the rows whose variance has
-    not converged double together.
+    not converged double together.  A row that :func:`_chebyshev_rows`
+    admits evaluates the direct sum once, at the alpha + 1 Chebyshev points
+    of its final window: even alpha makes L a polynomial of degree alpha,
+    so those values fix it, and every grid point, the doubling rounds'
+    midpoints too, follows from them by :func:`_interpolated`.  Each grid
+    maps to the same points of [-1, 1], so one matrix per grid serves every
+    row.  The window probes and the other rows take the direct sum.
 
     The window and grids are offsets from 0, and the centers are added back
     to the means, the maximum and row 0's grid: formed in absolute
     coordinates, the grid and the residuals p_j - x round by an amount that
     grows with |chi|."""
     trials, n = centred.shape
-    start = _GRID_SIGMAS / math.sqrt(n * fisher_closed(spec))
-    offsets = np.repeat([[-start, start]], trials, axis=0)
-    probes = _log_likelihoods(spec, centred, np.repeat([[0.0, -start, start]], trials, axis=0))
-    floor, edges = probes[:, :1] - _WINDOW_DROP, probes[:, 1:]
-    # a NaN edge compares False and stops widening its side; a row with
-    # one shallow side probes both edges, the other one unmoved
-    while (shallow := edges > floor).any():
-        offsets[shallow] *= _WINDOW_GROWTH
-        wider = shallow.any(axis=1)
-        edges[wider] = _log_likelihoods(spec, _rows(centred, wider), offsets[wider])
-    lo, hi = offsets[:, 0], offsets[:, 1]
+    likelihood = _row_likelihoods(spec, centred)
+    index = np.arange(trials)
+    lo, hi, centre, edges = _windows(spec, likelihood, trials, n)
+    chebyshev = _chebyshev_rows(spec.alpha, centre, edges, points)
+    values = np.empty((trials, spec.alpha + 1))
+    if chebyshev.any():
+        nodes = _chebyshev_nodes(lo[chebyshev], hi[chebyshev], spec.alpha)
+        values[chebyshev] = likelihood(index[chebyshev], nodes)
+
+    def evaluate(rows, grids, positions):
+        # the log-likelihood of ``rows`` on ``grids``, whose points lie at
+        # ``positions`` of [-1, 1] in every row's window
+        route = chebyshev[rows]
+        if not route.any():
+            return likelihood(rows, grids)
+        out = np.empty(grids.shape)
+        out[route] = _interpolated(values[rows[route]], positions)
+        if not route.all():
+            out[~route] = likelihood(rows[~route], grids[~route])
+        return out
 
     stats = np.empty((3, trials))
     first = None
-    index = np.arange(trials)
     grid = _grids(lo, hi, points)
-    log_w = _log_likelihoods(spec, centred, grid)
+    log_w = evaluate(index, grid, np.linspace(-1.0, 1.0, points))
     while True:
         dx = grid[:, 1] - grid[:, 0]
         peak = log_w.max(axis=1)
@@ -468,14 +606,14 @@ def _posteriors(spec: ProbeSpec, centred: np.ndarray, centers: np.ndarray, point
                 "points: its mass falls into fewer than 3 cells or its variance "
                 "has not converged"
             )
-        index, centred, log_w = index[going], _rows(centred, going), log_w[going]
+        index, log_w = index[going], log_w[going]
         lo, hi = lo[going], hi[going]
         # each row steps by (hi - lo) / (points - 1), exactly half its old
         # step, so the even points of the finer grid are the old grid
         grid = _grids(lo, hi, points)
         finer = np.empty(grid.shape)
         finer[:, ::2] = log_w
-        finer[:, 1::2] = _log_likelihoods(spec, centred, grid[:, 1::2])
+        finer[:, 1::2] = evaluate(index, grid[:, 1::2], np.linspace(-1.0, 1.0, points)[1::2])
         log_w = finer
 
 
@@ -493,12 +631,29 @@ def posterior(samples: SampleSet, grid_points: int = 101) -> PosteriorGrid:
 
     ``grid_points`` (odd, at least 101) is the starting and smallest grid.
     While the variance from every other point differs from the full grid's
-    by more than 1e-12 relative, the grid doubles: only the new midpoints
-    are evaluated, so no likelihood value is computed twice.  At large N the
-    tolerance rises to 8 eps |L|, the rounding of the summed log-likelihood
-    L at its peak, which no finer grid removes.  The density is
-    normalized by the trapezoid rule; mean, variance and the maximum are
-    computed from the normalized grid, not from a Gaussian fit.
+    by more than 1e-12 relative, the grid doubles and only the new midpoints
+    are evaluated.  At large N the tolerance rises to 8 eps |L|, the
+    rounding of the summed log-likelihood L at its peak, which no finer
+    grid removes.  The density is normalized by the trapezoid rule; mean,
+    variance and the maximum are computed from the normalized grid, not
+    from a Gaussian fit.
+
+    The log-likelihood L(x) = -2 sum_j |(p_j - x) / gamma|^alpha takes one
+    of three routes.  At alpha = 2 it is the closed form about the sample
+    mean, O(N + grid).  At alpha >= 4 L is a polynomial of degree alpha, so
+    its values at the alpha + 1 Chebyshev points of the second kind of the
+    final window fix it, and every grid point, on the first grid and on each
+    doubling, follows by barycentric interpolation, stable at those points
+    (Berrut & Trefethen, SIAM Rev. 46:501, 2004): O(alpha N + alpha grid).
+    That route's error is about alpha eps max|L| at any cell, where max|L|
+    over the window is at an edge; relative to |L(0)|, the smallest |L|
+    (at the estimate, where the concave L peaks), it measured at most about
+    alpha eps kappa / 2 with kappa = max|L| / |L(0)|.  So a posterior takes
+    it only where alpha eps kappa <= 1e-12 and the alpha + 1 nodes are at
+    most half the grid's steps; otherwise, as for one sample, two samples at
+    alpha = 20, or alpha >= 50 on 101 points, L is the direct sum over the
+    samples at each grid point.  Both quantities are known from the window
+    probes, which always take the direct sum.
 
     Raises :class:`ResolutionError` when the grid would pass 65537 points
     before the variance converges, or when the variance degenerates.

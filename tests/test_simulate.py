@@ -2,7 +2,9 @@
 
 Oracles: distribution moments and a Kolmogorov-Smirnov check of the exact
 sampler, Gaussian conjugacy of the posterior at alpha = 2, direct objective
-comparisons for the MLE, scale and translation equivariance, pinned outputs
+comparisons for the MLE, the direct likelihood sum for its Chebyshev route,
+the two-sample midpoint identities and a per-trial quadrature of the
+posterior's moments, scale and translation equivariance, pinned outputs
 with MLEs solved in 60-digit arithmetic, and the closed-form bounds for
 trial aggregates.
 """
@@ -22,7 +24,7 @@ from scipy import special, stats
 
 from qres.errors import DomainError, ResolutionError
 from qres.metrology import crb, fisher_closed
-from qres.numerics import RngStream
+from qres.numerics import RngStream, integrate
 from qres import simulate
 from qres.probe import ProbeSpec, gamma_for_energy, mean_energy
 from qres.simulate import (
@@ -332,6 +334,132 @@ def test_log_likelihood_matches_the_direct_sum(alpha, chi):
         )
 
 
+def _centred_windows(alpha, n, trials, seed):
+    """A block of trials centred on their MLEs, with each row's window,
+    log-likelihood at the centre and at both edges, and admission to the
+    Chebyshev route on 101 points, as the posterior builds them."""
+    spec = ProbeSpec(alpha, gamma_for_energy(alpha, 1.0 / 3.0))
+    outcomes = np.stack([draw(spec, 0.2, n, RngStream(seed, j)).outcomes for j in range(trials)])
+    centred = outcomes - simulate._mles(spec, outcomes)[:, None]
+    likelihood = simulate._row_likelihoods(spec, centred)
+    lo, hi, centre, edges = simulate._windows(spec, likelihood, trials, n)
+    admitted = simulate._chebyshev_rows(alpha, centre, edges, 101)
+    return spec, centred, lo, hi, admitted
+
+
+@pytest.mark.parametrize("alpha,n", [(4, 50), (8, 50), (20, 50), (20, 200)])
+def test_chebyshev_route_matches_the_direct_sum(alpha, n):
+    spec, centred, lo, hi, admitted = _centred_windows(alpha, n, 100, 3)
+    # the criterion-4 shape (20, 50) admits about 90% of rows
+    assert admitted.mean() >= 0.8
+    centred, lo, hi = centred[admitted], lo[admitted], hi[admitted]
+    values = _log_likelihoods(spec, centred, simulate._chebyshev_nodes(lo, hi, alpha))
+    # the first grid, and the midpoints that its first doubling adds
+    for grid, positions in (
+        (simulate._grids(lo, hi, 101), np.linspace(-1.0, 1.0, 101)),
+        (simulate._grids(lo, hi, 201)[:, 1::2], np.linspace(-1.0, 1.0, 201)[1::2]),
+    ):
+        np.testing.assert_allclose(
+            simulate._interpolated(values, positions),
+            _log_likelihoods(spec, centred, grid),
+            rtol=1e-12,
+            atol=0,
+        )
+
+
+@pytest.mark.parametrize("alpha,n", [(20, 1), (20, 2), (20, 10), (50, 400), (200, 50)])
+def test_chebyshev_route_refuses_ill_conditioned_rows(alpha, n):
+    # one sample puts L(0) at 0, two at alpha = 20 near it (kappa >= 2e7 over
+    # 2000 trials) and ten still give kappa >= 3e3; alpha >= 50 needs more
+    # nodes than half of the 100 steps of a 101-point grid
+    admitted = _centred_windows(alpha, n, 200, 3)[-1]
+    assert not admitted.any()
+
+
+@pytest.mark.parametrize("degree", [4, 8, 20, 48])
+def test_barycentric_matrix_reproduces_monomials(degree):
+    # exact for every polynomial of its degree; in floats within
+    # degree * eps, the route's error model with max |f| = 1 (measured
+    # 4 eps at most)
+    nodes = simulate._chebyshev_points(degree)
+    assert (nodes[0], nodes[degree // 2], nodes[-1]) == (-1.0, 0.0, 1.0)
+    assert np.array_equal(nodes, -nodes[::-1])
+    for positions in (np.linspace(-1.0, 1.0, 101), np.linspace(-1.0, 1.0, 201)[1::2]):
+        matrix = simulate._barycentric_matrix(degree, positions)
+        for k in range(degree + 1):
+            np.testing.assert_allclose(
+                nodes**k @ matrix, positions**k, rtol=0, atol=degree * np.finfo(float).eps
+            )
+
+
+@pytest.mark.parametrize("alpha", [2, 4, 8, 20, 50, 200])
+def test_two_sample_estimates_are_the_midpoint(alpha):
+    # Two samples of a symmetric location family give a likelihood symmetric
+    # about their midpoint, so the MLE and the posterior mean are that
+    # midpoint exactly.  Per trial, on both likelihood routes: at alpha = 4
+    # the Chebyshev route takes 224 of these rows.
+    spec = ProbeSpec(alpha, gamma_for_energy(alpha, 1.0 / 3.0))
+    chi, trials = 0.3, 1000
+    summary = run_trials(spec, None, 2, chi, trials, 2026)
+    outcomes = np.stack([draw(spec, chi, 2, RngStream(2026, j)).outcomes for j in range(trials)])
+    midpoint = 0.5 * (outcomes[:, 0] + outcomes[:, 1])
+    # Newton's first step from lo + (hi - lo) / 2 may move it by one rounding
+    assert np.all(np.abs(summary.mles - midpoint) <= np.spacing(np.abs(outcomes).max(axis=1)))
+    deviation = np.abs(summary.posterior_means - midpoint) / np.sqrt(summary.posterior_variances)
+    assert deviation.max() <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [2, 4, 20, 200])
+def test_two_sample_mean_posterior_variance_is_half_the_energy(alpha):
+    # By the Pitman identity the mean posterior variance is the risk of the
+    # posterior mean, the midpoint, whose variance is Var(p) / 2 = E / 2.
+    # At alpha = 2 every trial gives E / 2; otherwise the mean over the
+    # trials must lie within 4 standard errors, with the seed, the trial
+    # count and z fixed before the first run.
+    spec = ProbeSpec(alpha, gamma_for_energy(alpha, 1.0 / 3.0))
+    trials = 4000
+    variances = run_trials(spec, None, 2, 0.0, trials, 2027).posterior_variances
+    half = mean_energy(spec) / 2.0
+    if alpha == 2:
+        np.testing.assert_allclose(variances, half, rtol=simulate._GRID_RTOL, atol=0)
+    else:
+        z = (variances.mean() - half) / (variances.std(ddof=1) / math.sqrt(trials))
+        assert abs(z) <= 4.0
+
+
+@pytest.mark.parametrize("alpha", [4, 20, 200])
+def test_posterior_moments_match_the_quadrature_reference(alpha):
+    # Per trial, the posterior's mean and variance from integrate over
+    # x^k prod_j f(p_j - x), with no grid and no window rule.  Here the
+    # Chebyshev route takes all 10 trials at alpha = 4 and 9 at alpha = 20;
+    # alpha = 200 takes the direct sum.
+    spec = ProbeSpec(alpha, gamma_for_energy(alpha, 1.0 / 3.0))
+    chi, trials, seed = 0.2, 10, 31
+    summary = run_trials(spec, None, 50, chi, trials, seed)
+    for j in range(trials):
+        # offsets from the MLE, as the posterior takes them
+        residuals = draw(spec, chi, 50, RngStream(seed, j)).outcomes - summary.mles[j]
+
+        def log_likelihood(x):
+            return -2.0 * np.sum(np.abs(np.subtract.outer(residuals, x) / spec.gamma) ** alpha, 0)
+
+        peak = log_likelihood(np.zeros(1))[0]
+        # past this reach the farthest sample alone puts L 40 nats below peak
+        reach = spec.gamma * ((40.0 - peak) / 2.0) ** (1.0 / alpha)
+        lo, hi = residuals.max() - reach, residuals.min() + reach
+
+        def moment(weight):
+            return integrate(lambda x: weight(x) * np.exp(log_likelihood(x) - peak), lo, hi)
+
+        mass = moment(np.ones_like)
+        # the weights stay positive, so each integral holds its 1e-8
+        mean = lo + moment(lambda x: x - lo) / mass
+        variance = moment(lambda x: (x - mean) ** 2) / mass
+        assert abs(summary.posterior_means[j] - (summary.mles[j] + mean)) <= 1e-8 * (hi - lo)
+        # a ratio of two integrals, each within 1e-8
+        assert summary.posterior_variances[j] == pytest.approx(variance, rel=2e-8, abs=0)
+
+
 @pytest.mark.parametrize("chi", [0.3, 25.0])
 def test_gaussian_log_likelihood_is_the_closed_form_at_large_n(chi, monkeypatch):
     # the study-large-n benchmark's shape: N = 1e4 on a 101-point grid, whose
@@ -435,10 +563,10 @@ class TestPosterior:
         assert grid.variance_error <= 1e-12
 
     def test_large_n_converges_at_the_rounding_of_the_likelihood(self, monkeypatch):
-        # the summed log-likelihood of 2e5 samples rounds at about 1e-11
-        # relative, so a 1e-12 tolerance alone does not settle every such
-        # grid; whether it binds varies from draw to draw, so the claim is
-        # made over streams 0-4, fixed before the first run
+        # the log-likelihood of 2e5 samples, summed directly, rounds at about
+        # 1e-11 relative, so a 1e-12 tolerance alone does not settle every
+        # such grid; whether it binds varies from draw to draw, so the claim
+        # is made over streams 0-4, fixed before the first run
         sets = [draw(ProbeSpec(4, 1.0), 0.0, 200_000, RngStream(4, j)) for j in range(5)]
         for samples in sets:
             grid = posterior(samples)
@@ -446,6 +574,12 @@ class TestPosterior:
             assert grid.variance_error <= 1e-10
         monkeypatch.setattr(simulate, "_LIKELIHOOD_ROUNDING", 0.0)
         monkeypatch.setattr(simulate, "_GRID_MAX_POINTS", 401)
+        # these posteriors take the Chebyshev route, whose cells round
+        # together through one polynomial: it settles without the floor
+        for samples in sets:
+            assert posterior(samples).variance_error <= simulate._GRID_RTOL
+        # the direct sum does not
+        monkeypatch.setattr(simulate, "_CHEBYSHEV_BOUND", 0.0)
         raised = 0
         for samples in sets:
             try:
@@ -489,25 +623,34 @@ class TestPosterior:
 
 
 def test_posterior_grids_evaluate_each_likelihood_value_once(monkeypatch):
-    # the study-posterior benchmark's shape: 200 posteriors at alpha=20, N=50
+    # the study-posterior benchmark's shape: 200 posteriors at alpha=20, N=50.
+    # A row on the Chebyshev route sums the likelihood directly at its 21
+    # nodes and nowhere else; any other row at each point of its final grid.
     spec = ProbeSpec(20, gamma_for_energy(20, 1.0 / 3.0))
     cells = {"grid": 0, "probe": 0}
-    log_likelihoods = simulate._log_likelihoods
+    admitted = []
+    log_likelihoods, chebyshev_rows = simulate._log_likelihoods, simulate._chebyshev_rows
 
     def counting(spec, outcomes, grids):
-        # window-edge probes take at most 3 points; grids take at least 100
+        # window-edge probes take at most 3 points; nodes 21, grids at least 100
         cells["probe" if grids.shape[1] <= 3 else "grid"] += grids.size * outcomes.shape[1]
         return log_likelihoods(spec, outcomes, grids)
 
+    def recording(*args):
+        admitted.append(chebyshev_rows(*args))
+        return admitted[-1]
+
     monkeypatch.setattr(simulate, "_log_likelihoods", counting)
-    summary = run_trials(spec, None, 50, 0.2, 200, 7)
+    monkeypatch.setattr(simulate, "_chebyshev_rows", recording)
+    run_trials(spec, None, 50, 0.2, 200, 7)
     monkeypatch.undo()
-    final_cells = [
-        posterior(draw(spec, 0.2, 50, RngStream(7, j))).grid.size * 50
-        for j in range(200)
+    (admitted,) = admitted  # one block
+    final_points = [
+        posterior(draw(spec, 0.2, 50, RngStream(7, j))).grid.size for j in range(200)
     ]
-    assert cells["grid"] == sum(final_cells)
-    assert cells["grid"] + cells["probe"] <= 2001 * 50 * 200 / 4
+    assert cells["grid"] == 50 * np.where(admitted, 21, final_points).sum()
+    assert admitted.mean() >= 0.8
+    assert cells["grid"] + cells["probe"] <= 101 * 50 * 200 / 2
 
 
 def _same_bytes(a, b) -> bool:
@@ -554,7 +697,7 @@ def test_trial_blocks_match_one_trial_at_a_time(
 _STUDY_SHA256 = [
     (
         dict(alpha=20, energy=1.0 / 3.0, n=50, chi=0.2, trials=12, seed=7),
-        "613a1d0aa649c302417a93242e2198f8d2fa1bacebbc04b834e2d7b01b7647f6",
+        "620c76f3a8d97b32aec24f1bf5a92e9deb948d8e9dff0380bff352f39bd040a4",
     ),
     (
         dict(alpha=200, energy=1.0 / 3.0, n=20, chi=0.2, trials=12, seed=7),
