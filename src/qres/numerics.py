@@ -99,21 +99,23 @@ def _stream_generators(seed: int, stream_indices):
     """An iterator over the generators of the streams (seed, j), for each j
     in ``stream_indices`` in turn.
 
-    It keys one Philox generator, checking ``seed`` before it returns, and
-    re-keys it in place for each j through the bit generator's ``state``
+    It keys one Philox generator, checking ``seed`` once, before it returns,
+    and re-keys it in place for each j through the bit generator's ``state``
     setter: key (seed, j), counter zero, buffer empty and no spare 32-bit
     half, which is the state ``RngStream(seed, j)`` starts in.  So each
     generator draws the bytes of ``RngStream(seed, j)``, without the fresh
     OS-entropy ``SeedSequence`` that building a ``Philox`` draws and the key
-    then overrides.  Every item is the same object: it holds stream j only
-    until the next item is taken.
+    then overrides.  Each j is written unchecked into the key's second
+    word, a uint64, so it must be an integer in [0, 2^64).  Every item is
+    the same object: it holds stream j only until the next item is taken.
     """
     bit_generator = np.random.Philox(key=_stream_key(seed, 0))
     generator = np.random.Generator(bit_generator)
     start = bit_generator.state
+    key = start["state"]["key"]
 
     def rekeyed(stream_index):
-        start["state"]["key"] = _stream_key(seed, stream_index)
+        key[1] = stream_index
         bit_generator.state = start
         return generator
 

@@ -13,9 +13,11 @@ nats of its value at the estimate, doubled until the posterior variance
 converges.  For even alpha the log-likelihood is a polynomial of degree
 alpha in x: at alpha = 2 it is taken in closed form, and at alpha >= 4 a
 well-conditioned row interpolates it from alpha + 1 direct sums at the
-Chebyshev points of its window.  Repeated-trial studies compare the
-empirical estimator variance and the mean posterior variance against the
-energy-constrained bound.
+Chebyshev points of its window.  The direct sum over the samples, taken the
+same way at every alpha, is the reference that both faster routes are
+tested against.  Repeated-trial studies compare the empirical estimator
+variance and the mean posterior variance against the energy-constrained
+bound.
 
 Studies run their trials in blocks: each stage draws, solves or integrates
 a whole block as (trials, N) and (trials, grid) arrays, and :func:`draw`,
@@ -98,11 +100,12 @@ _MLE_MAX_STEPS = 200
 # then outgrow a core's cache.
 _BLOCK_VALUES = 2**15
 
-# Cells (trials x samples x grid points) per block of the likelihood sum at
-# alpha >= 4; alpha = 2 has a closed form and no blocks.  The two block
-# buffers, 256 kB each whatever the sample count, are allocated once per
-# call, so posterior memory is O(grid), not O(grid x N), and the passes over
-# a block stay in a core's cache.
+# Cells (trials x samples x grid points) per block of the direct likelihood
+# sum, which posteriors take at alpha >= 4 off the Chebyshev route; alpha = 2
+# takes a closed form and no blocks.  The two block buffers, 256 kB each
+# whatever the sample count, are allocated once per call, so posterior
+# memory is O(grid), not O(grid x N), and the passes over a block stay in a
+# core's cache.
 _LIKELIHOOD_BLOCK_CELLS = 2**15
 
 # The Chebyshev route's bound on alpha eps kappa (see _chebyshev_rows).  Over
@@ -253,54 +256,21 @@ def _power_in_place(base: np.ndarray, k: int, spare: np.ndarray) -> None:
         spare *= spare
 
 
-def _gaussian_terms(spec: ProbeSpec, outcomes: np.ndarray) -> tuple:
-    """Row mean m and S = sum_j ((p_j - m) / gamma)^2 of each row, as
-    (trials, 1) columns: the state of the alpha = 2 closed form.  S is a row
-    sum, whose bits do not depend on how many rows there are; np.einsum's
-    buffered loop adds rows of more than 8192 samples in another order in a
-    block than alone."""
-    mean = outcomes.mean(axis=1, keepdims=True)
-    residuals = outcomes - mean
-    residuals *= 1.0 / spec.gamma
-    residuals *= residuals
-    return mean, residuals.sum(axis=1, keepdims=True)
-
-
-def _gaussian_log_likelihoods(
-    spec: ProbeSpec, n: int, mean: np.ndarray, total: np.ndarray, grids: np.ndarray
-) -> np.ndarray:
-    """-2 [S + N ((x - m) / gamma)^2] on each row's grid, given the
-    :func:`_gaussian_terms` m and S of ``n`` samples per row."""
-    cells = grids - mean
-    cells *= 1.0 / spec.gamma
-    cells *= cells
-    cells *= n
-    cells += total
-    return -2.0 * cells
-
-
 def _log_likelihoods(spec: ProbeSpec, outcomes: np.ndarray, grids: np.ndarray) -> np.ndarray:
     """Unnormalized log-likelihoods of the signal, one row per trial: row t
     is -2 sum_j |(p_tj - x) / gamma|^alpha on the candidates ``grids[t]``
-    given the samples ``outcomes[t]``.  This is the direct route, which
-    every other route is tested against.
+    given the samples ``outcomes[t]``.  This is the direct sum, the same
+    at every alpha, which every faster route is tested against.
 
-    At alpha = 2 the sum is taken about the row mean m, as
-    -2 [S + N ((x - m) / gamma)^2] with S = sum_j ((p_j - m) / gamma)^2:
-    both terms are non-negative, so nothing cancels, and a row costs
-    O(N + G) instead of O(N G).
-
-    At alpha >= 4 the cells are summed a block at a time: whole trials
-    while one trial's N x G cells fit in _LIKELIHOOD_BLOCK_CELLS, and blocks
-    of one trial's samples beyond that.  Alpha is even, so each cell is the
-    squared scaled residual raised to alpha/2 by binary powering.
+    The cells are summed a block at a time: whole trials while one trial's
+    N x G cells fit in _LIKELIHOOD_BLOCK_CELLS, and blocks of one trial's
+    samples beyond that.  Alpha is even, so each cell is the squared scaled
+    residual raised to alpha/2 by binary powering.
 
     Residuals are scaled after the subtraction: dividing outcomes and grid
     by gamma first would lose digits wherever p_j - x is small against
     p_j."""
     trials, n = outcomes.shape
-    if spec.alpha == 2:
-        return _gaussian_log_likelihoods(spec, n, *_gaussian_terms(spec, outcomes), grids)
     inverse_gamma = 1.0 / spec.gamma
     size = grids.shape[1]
     half_alpha = spec.alpha // 2
@@ -477,19 +447,39 @@ def _chebyshev_rows(alpha: int, centre: np.ndarray, edges: np.ndarray, points: i
 def _row_likelihoods(spec: ProbeSpec, centred: np.ndarray):
     """The log-likelihood of the rows of a block as one function
     f(rows, grids), row ``rows[i]`` on ``grids[i]``, over a state built once
-    per block: each row's mean and S of the closed form at alpha = 2, its
-    samples for the direct sum at alpha >= 4."""
+    per block.
+
+    At alpha >= 4 the state is the samples, for :func:`_log_likelihoods`.
+    At alpha = 2 it is each row's mean m and S = sum_j ((p_j - m) / gamma)^2,
+    and the sum is taken in closed form about m, as
+    -2 [S + N ((x - m) / gamma)^2]: both terms are non-negative, so nothing
+    cancels, and a row costs O(N + G) instead of O(N G).  S is a row sum,
+    whose bits do not depend on how many rows there are; np.einsum's
+    buffered loop adds rows of more than 8192 samples in another order in a
+    block than alone."""
 
     def take(array, rows):
         return array if rows.size == len(array) else array[rows]
 
-    if spec.alpha == 2:
-        n = centred.shape[1]
-        mean, total = _gaussian_terms(spec, centred)
-        return lambda rows, grids: _gaussian_log_likelihoods(
-            spec, n, take(mean, rows), take(total, rows), grids
-        )
-    return lambda rows, grids: _log_likelihoods(spec, take(centred, rows), grids)
+    if spec.alpha != 2:
+        return lambda rows, grids: _log_likelihoods(spec, take(centred, rows), grids)
+    n = centred.shape[1]
+    inverse_gamma = 1.0 / spec.gamma
+    mean = centred.mean(axis=1, keepdims=True)
+    residuals = centred - mean
+    residuals *= inverse_gamma
+    residuals *= residuals
+    total = residuals.sum(axis=1, keepdims=True)
+
+    def closed_form(rows, grids):
+        cells = grids - take(mean, rows)
+        cells *= inverse_gamma
+        cells *= cells
+        cells *= n
+        cells += take(total, rows)
+        return -2.0 * cells
+
+    return closed_form
 
 
 def _chebyshev_nodes(lo: np.ndarray, hi: np.ndarray, degree: int) -> np.ndarray:
@@ -639,8 +629,10 @@ def posterior(samples: SampleSet, grid_points: int = 101) -> PosteriorGrid:
     from a Gaussian fit.
 
     The log-likelihood L(x) = -2 sum_j |(p_j - x) / gamma|^alpha takes one
-    of three routes.  At alpha = 2 it is the closed form about the sample
-    mean, O(N + grid).  At alpha >= 4 L is a polynomial of degree alpha, so
+    of three routes.  The direct sum over the samples at each grid point is
+    the reference, the same at every alpha, that the other two are tested
+    against.  At alpha = 2 L is the closed form about the sample mean,
+    O(N + grid).  At alpha >= 4 L is a polynomial of degree alpha, so
     its values at the alpha + 1 Chebyshev points of the second kind of the
     final window fix it, and every grid point, on the first grid and on each
     doubling, follows by barycentric interpolation, stable at those points

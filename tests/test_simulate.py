@@ -2,11 +2,11 @@
 
 Oracles: distribution moments and a Kolmogorov-Smirnov check of the exact
 sampler, Gaussian conjugacy of the posterior at alpha = 2, direct objective
-comparisons for the MLE, the direct likelihood sum for its Chebyshev route,
-the two-sample midpoint identities and a per-trial quadrature of the
-posterior's moments, scale and translation equivariance, pinned outputs
-with MLEs solved in 60-digit arithmetic, and the closed-form bounds for
-trial aggregates.
+comparisons for the MLE, the direct likelihood sum for its Chebyshev route
+and its alpha = 2 closed form, the two-sample midpoint identities and a
+per-trial quadrature of the posterior's moments, scale and translation
+equivariance, pinned outputs with MLEs solved in 60-digit arithmetic, and
+the closed-form bounds for trial aggregates.
 """
 
 import dataclasses
@@ -25,7 +25,7 @@ from scipy import special, stats
 from qres.errors import DomainError, ResolutionError
 from qres.metrology import crb, fisher_closed
 from qres.numerics import RngStream, integrate
-from qres import simulate
+from qres import numerics, simulate
 from qres.probe import ProbeSpec, gamma_for_energy, mean_energy
 from qres.simulate import (
     _LIKELIHOOD_BLOCK_CELLS,
@@ -467,17 +467,18 @@ def test_gaussian_log_likelihood_is_the_closed_form_at_large_n(chi, monkeypatch)
     spec = ProbeSpec(2, gamma_for_energy(2, 1.0 / 3.0))
     grid = np.linspace(chi - 1.5 * spec.gamma, chi + 1.5 * spec.gamma, 101)
     samples = draw(spec, chi, 10_000, RngStream(8, 10_000))
-    residuals = np.subtract.outer(samples.outcomes, grid) / spec.gamma
-    direct = -2.0 * np.sum(residuals**2, axis=0)
+    one = np.arange(1)
     np.testing.assert_allclose(
-        _log_likelihoods(spec, samples.outcomes[None], grid[None])[0], direct, rtol=1e-12
+        simulate._row_likelihoods(spec, samples.outcomes[None])(one, grid[None])[0],
+        _log_likelihoods(spec, samples.outcomes[None], grid[None])[0],
+        rtol=1e-12,
     )
     # a block of rows, as run_trials passes, gives each row its bits alone
     outcomes = np.stack([draw(spec, chi, 10_000, RngStream(8, j)).outcomes for j in range(3)])
     grids = np.repeat(grid[None], 3, axis=0)
-    block = _log_likelihoods(spec, outcomes, grids)
+    block = simulate._row_likelihoods(spec, outcomes)(np.arange(3), grids)
     for t in range(3):
-        alone = _log_likelihoods(spec, outcomes[t : t + 1], grids[t : t + 1])[0]
+        alone = simulate._row_likelihoods(spec, outcomes[t : t + 1])(one, grids[t : t + 1])[0]
         assert block[t].tobytes() == alone.tobytes()
 
     def refuse(*args):
@@ -534,18 +535,41 @@ class TestPosterior:
         with pytest.raises(ResolutionError, match="within the cap of 201 grid points"):
             posterior(samples)
 
-    @pytest.mark.parametrize("alpha", [2, 4])
-    def test_memory_does_not_grow_with_sample_count(self, alpha):
-        # a grid x N likelihood matrix would take 2001 * 1e4 * 8 B = 160 MB
-        # here: alpha = 2 takes the closed form, alpha = 4 the block sums
+    @pytest.mark.parametrize("alpha", [2, 4, 50])
+    def test_memory_does_not_grow_with_sample_count(self, alpha, monkeypatch):
+        # a grid x N likelihood matrix would take 101 * 1e4 * 8 B = 8 MB
+        # here: alpha = 2 takes the closed form, alpha = 4 the Chebyshev
+        # route, and alpha = 50, whose 51 nodes are refused on 101 points,
+        # the block sums at every grid point
+        admitted, cells = [], [0]
+        log_likelihoods, chebyshev_rows = simulate._log_likelihoods, simulate._chebyshev_rows
+
+        def counting(spec, outcomes, grids):
+            cells[0] += grids.size * outcomes.shape[1]
+            return log_likelihoods(spec, outcomes, grids)
+
+        def recording(*args):
+            admitted.append(chebyshev_rows(*args))
+            return admitted[-1]
+
+        monkeypatch.setattr(simulate, "_log_likelihoods", counting)
+        monkeypatch.setattr(simulate, "_chebyshev_rows", recording)
         samples = draw(ProbeSpec(alpha, 1.0), 0.0, 10**4, RngStream(4, 0))
         tracemalloc.start()
         try:
-            posterior(samples)
+            grid = posterior(samples)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+        ((chebyshev,),) = admitted
+        full = grid.grid.size * samples.n
+        if alpha == 2:
+            assert cells[0] == 0 and not chebyshev
+        elif alpha == 4:
+            assert 0 < cells[0] < full and chebyshev
+        else:
+            assert cells[0] >= full and not chebyshev
 
     @pytest.mark.parametrize("grid_points", [100, 99, 2000, 11])
     def test_grid_points_validation(self, grid_points):
@@ -704,6 +728,10 @@ _STUDY_SHA256 = [
         "bc3ba763dd4470b33b36280fde939e9438d1bd6683f51987d45afe24ff1ad0bc",
     ),
     (
+        dict(alpha=2, energy=1.0 / 3.0, n=10_000, chi=-0.3, trials=2, seed=9),
+        "a06f6a59d718028b591c7c577f70e21c0aa65bc3c99f9789e6997962df1f38fa",
+    ),
+    (
         dict(
             alpha=4, energy=1.0 / 3.0, n=10_000, chi=0.1, trials=3, seed=5, compute_posterior=False
         ),
@@ -752,6 +780,21 @@ def test_a_study_keys_one_philox_generator(n, trials, blocks, monkeypatch):
     run_trials(20, 1.0 / 3.0, n, 0.0, trials, 3, compute_posterior=n < 100)
     assert math.ceil(trials / (simulate._BLOCK_VALUES // max(n, 101))) == blocks
     assert len(built) == 1
+
+
+def test_a_study_checks_its_seed_once(monkeypatch):
+    # the seed is checked when the generator is keyed; each trial's index is
+    # written into the saved key, not checked again
+    calls = []
+    stream_key = numerics._stream_key
+
+    def counting(*args):
+        calls.append(args)
+        return stream_key(*args)
+
+    monkeypatch.setattr(numerics, "_stream_key", counting)
+    run_trials(20, 1.0 / 3.0, 50, 0.0, 200, 3, compute_posterior=False)
+    assert calls == [(3, 0)]
 
 
 def test_an_unconverged_mle_raises(monkeypatch):
