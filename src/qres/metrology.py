@@ -84,8 +84,8 @@ def fisher_closed(spec: ProbeSpec) -> float:
 
 # fisher_numeric's nodes about the shifted centre chi/gamma carry a rounding
 # error of ~|chi/gamma| 2^-52 widths: up to 1e6 widths the result stays within
-# the quadrature tolerance numerics._RTOL (7.8e-9 at alpha = 200); by 1e14
-# widths it is wrong.
+# the quadrature tolerance numerics._RTOL (worst 9.42e-9 over the even alphas
+# 2-200, at alpha = 182 and chi = 1e6 gamma); by 1e14 widths it is wrong.
 _SHIFT_MAX = 1e6
 
 
@@ -305,6 +305,7 @@ def bound_report(alpha: int | ProbeSpec, energy: float | None, n: int) -> BoundR
     spec, energy = _stated(alpha, energy)
     n = require_int("n", n, 1)
     fisher = fisher_closed(spec)
+    product = uncertainty_product(spec)  # of alpha alone, as normalized_bound's
     return BoundReport(
         alpha=spec.alpha,
         gamma=spec.gamma,
@@ -313,9 +314,9 @@ def bound_report(alpha: int | ProbeSpec, energy: float | None, n: int) -> BoundR
         fisher=fisher,
         quantum_fisher=4.0 * position_variance(spec),
         crb=crb(fisher, n),
-        energy_bound=energy_bound(spec.alpha, energy, n),
+        energy_bound=(energy / n) * (1.0 / product),
         approx_bound=energy_bound_approx(spec.alpha, energy, n),
         error_prop_bound=error_propagation_bound(energy, n),
         n_required=_repetitions_closed(spec.alpha),
-        uncertainty_product=uncertainty_product(spec),
+        uncertainty_product=product,
     )

@@ -180,21 +180,35 @@ def _unit_integral(alpha: int, weight, shift: float = 0.0) -> float:
     probe integral, at :func:`~qres.numerics.integrate`'s one policy.  It is
     O(1) at any width, so callers rescale in the log domain.  ln|u| is
     taken once per node, and power(k) forms |u|^k (k > 0) from it, for the
-    even weight and the density alike, as exp(k ln|u|) capped at _EXP_CLIP."""
+    even weight and the density alike, as exp(k ln|u|) capped at _EXP_CLIP.
+
+    Evenness contract: the integrand sees u only through power, that is
+    through |u|, and the density is even, so it is even about ``shift``;
+    the integral is twice the one over the half-window [shift, shift +
+    window], whose 32 starting panels are then half as wide."""
     unit = ProbeSpec(alpha, 1.0)
     window = truncation_window(unit)
     log_prefactor = _log_prefactor(unit)
 
     def integrand(t):
+        log_u = t - shift
+        np.abs(log_u, out=log_u)
         with np.errstate(divide="ignore"):  # ln 0 = -inf gives 0^k = 0
-            log_u = np.log(np.abs(t - shift))
+            np.log(log_u, out=log_u)
 
         def power(k):
-            return np.exp(np.minimum(k * log_u, _EXP_CLIP))
+            out = np.multiply(k, log_u)
+            np.minimum(out, _EXP_CLIP, out=out)
+            return np.exp(out, out=out)
 
-        return weight(power) * np.exp(log_prefactor - 2.0 * power(alpha))
+        # weight(power) * exp(log_prefactor - 2 power(alpha)), in place
+        values = power(alpha)
+        values *= 2.0
+        np.subtract(log_prefactor, values, out=values)
+        np.exp(values, out=values)
+        return np.multiply(weight(power), values, out=values)
 
-    return integrate(integrand, shift - window, shift + window)
+    return 2.0 * integrate(integrand, shift, shift + window)
 
 
 def position_variance(spec: ProbeSpec) -> float:

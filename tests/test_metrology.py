@@ -59,10 +59,15 @@ class TestFisher:
         assert fisher_closed(ProbeSpec(2, 1.0)) == pytest.approx(4.0, rel=1e-12)
         assert fisher_closed(ProbeSpec(2, 2.0)) == pytest.approx(1.0, rel=1e-12)
 
-    @pytest.mark.parametrize("alpha", [2, 4, 20])
+    @pytest.mark.parametrize("alpha", range(2, 202, 2))
     def test_numeric_agrees_with_closed_form(self, alpha):
+        # both quadrature routes; the worst gap measured over the even alphas
+        # was 2.0e-14 (fisher_numeric at chi = 0.7)
         spec = ProbeSpec(alpha, 1.0)
-        assert fisher_numeric(spec) == pytest.approx(fisher_closed(spec), rel=1e-6)
+        closed = fisher_closed(spec)
+        assert fisher_numeric(spec) == pytest.approx(closed, rel=1e-12)
+        assert fisher_numeric(spec, 0.7) == pytest.approx(closed, rel=1e-12)
+        assert 4.0 * position_variance(spec) == pytest.approx(closed, rel=1e-12)
 
     def test_shift_independence(self):
         # pure location family: the information is the same at any signal
@@ -74,13 +79,15 @@ class TestFisher:
     def test_shift_beyond_a_million_widths_is_refused(self):
         # 1e15 widths: the shifted nodes are off by about a width, and the
         # quadrature returned 4.86e7 against the closed form's 2.16e7
-        spec = ProbeSpec(20, 1e-3)
         with pytest.raises(DomainError, match="chi"):
-            fisher_numeric(spec, chi=1e12)
-        for chi in (-1e3, 1e3):  # 1e6 widths, still within the quadrature tolerance
-            assert fisher_numeric(spec, chi) == pytest.approx(
-                fisher_closed(spec), rel=1e-8
-            )
+            fisher_numeric(ProbeSpec(20, 1e-3), chi=1e12)
+        # 1e6 widths, still within the quadrature tolerance at every alpha
+        for alpha in range(2, 202, 2):
+            spec = ProbeSpec(alpha, 1e-3)
+            for chi in (-1e3, 1e3):
+                assert fisher_numeric(spec, chi) == pytest.approx(
+                    fisher_closed(spec), rel=1e-8
+                )
 
 
 class TestCrb:
@@ -181,10 +188,11 @@ class TestErrorPropagation:
 
 class TestRepetitionsRequired:
     def test_closed_form_matches_quadrature(self):
-        for alpha in (4, 8, 20, 60):
+        # the worst gap measured over the even alphas was 4.3e-14
+        for alpha in range(4, 202, 2):
             estimate = repetitions_required(alpha)
             assert estimate.quadrature == pytest.approx(
-                estimate.closed_form, rel=1e-6
+                estimate.closed_form, rel=1e-12
             )
 
     def test_stdlib_oracle(self):
@@ -316,37 +324,61 @@ class TestPinnedQuadratures:
         )
 
 
+# Each route with the alphas it is taken at, the shift it integrates about and
+# its (integrand batches, evaluations) summed over those alphas; integrating
+# the whole window took (332, 77700), (332, 77700) and (405, 87960).
+_QUADRATURE_WORK = {
+    "position_variance": (
+        range(2, 202, 2),
+        lambda a: position_variance(ProbeSpec(a, 1.0)),
+        0.0,
+        (240, 65040),
+    ),
+    "fisher_numeric": (
+        range(2, 202, 2),
+        lambda a: fisher_numeric(ProbeSpec(a, 1.0), 0.7),
+        0.7,
+        (240, 65040),
+    ),
+    "repetitions": (range(4, 202, 2), repetitions_required, 0.0, (288, 71250)),
+}
+
+
 def test_every_quadrature_route_makes_one_call_at_one_policy(monkeypatch):
-    # integrate takes no policy arguments: every route runs at its one policy
+    # integrate takes no policy arguments: every route runs at its one policy,
+    # one call per alpha over the half-window from the shift, with the pinned
+    # work
     integrate = probe.integrate
-    calls = []
+    work, lows = [0, 0], []
 
     def recording(f, lo, hi):
-        calls.append((lo, hi))
-        return integrate(f, lo, hi)
+        def counted(x):
+            work[0] += 1
+            work[1] += x.size
+            return f(x)
+
+        lows.append(lo)
+        return integrate(counted, lo, hi)
 
     monkeypatch.setattr(probe, "integrate", recording)
-    spec = ProbeSpec(20, gamma_for_energy(20, 1.0 / 3.0))
-    routes = (
-        lambda: position_variance(spec),
-        lambda: fisher_numeric(spec, 0.3 * spec.gamma),
-        lambda: repetitions_required(20),
-    )
-    for route in routes:
-        calls.clear()
-        route()
-        assert len(calls) == 1
+    for alphas, route, shift, expected in _QUADRATURE_WORK.values():
+        work[:], lows[:] = [0, 0], []
+        for alpha in alphas:
+            route(alpha)
+        assert tuple(work) == expected
+        assert lows == [shift] * len(alphas)
 
 
 # SHA-256 of float.hex of every field of bound_report(alpha, energy, 50) and
 # of fisher_numeric at chi = 0.7 gamma, for every even alpha at three
 # energies, recorded from the heap-ordered quadrature loop and re-pinned when
 # the alpha = 2 width and Fisher information became exact (only the alpha = 2
-# rows moved, each by a few ulp toward the exact value).  The pins above
-# hold to 1e-12; this one holds bit for bit.  Like the sampler digests, it
-# depends on numpy's exp and log.
+# rows moved, each by a few ulp toward the exact value), and again when each
+# quadrature became twice the integral over its half-window (old and new
+# agree within 7.1e-13).  The pins above hold to 1e-12; this one holds bit
+# for bit.  Like the sampler digests, it depends on numpy's exp and log.
 _REPORT_ENERGIES = (1e-250, 1.0 / 3.0, 1e250)
-_REPORT_SHA256 = "6aa7d7295c832c551f46c401ed06139d760e0b5528b05a38ae338f387c9be879"
+_REPORT_SHA256 = "b967d7e9cc952db400d25da9476bbcd7ce0c14920a62d64a57d6355c33804630"
 
 
 def test_reports_and_fisher_quadrature_match_the_pinned_digest():
