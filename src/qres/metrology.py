@@ -4,8 +4,9 @@ The measured signal is a momentum shift chi imprinted on a generalized-
 Gaussian probe, estimated from N repeated momentum measurements.  This module
 collects everything one asks about that scheme:
 
-* Fisher information of the shift family, both in closed form and as an
-  independent quadrature of (dP/dchi)^2 / P;
+* Fisher information of the shift family, both in closed form, the mean
+  squared score, and as an independent quadrature of the mean curvature
+  E[-d^2 ln P/dp^2] of the log-density (the second information identity);
 * the Cramer-Rao variance floor 1/(N F);
 * the energy-constrained bound obtained by eliminating the probe width in
   favor of the mean energy, its large-alpha approximation 3 E/(N alpha), and
@@ -82,29 +83,25 @@ def fisher_closed(spec: ProbeSpec) -> float:
     return _exp(2.0 * log_score_scale + _log_moment(a, 2 * a - 2))
 
 
-# fisher_numeric's nodes about the shifted centre chi/gamma carry a rounding
-# error of ~|chi/gamma| 2^-52 widths: up to 1e6 widths the result stays within
-# the quadrature tolerance numerics._RTOL (worst 9.42e-9 over the even alphas
-# 2-200, at alpha = 182 and chi = 1e6 gamma); by 1e14 widths it is wrong.
-_SHIFT_MAX = 1e6
+def fisher_numeric(spec: ProbeSpec) -> float:
+    """Fisher information by quadrature, through the second information
+    identity F = E[-d^2 ln P / dp^2] rather than the mean squared score that
+    :func:`fisher_closed` and :func:`~qres.probe.position_variance` share.
 
+    The curvature of the log-density is analytic, -d^2 ln P/dp^2 =
+    (2 alpha (alpha - 1) / gamma^2) |p/gamma|^(alpha - 2), so
 
-def fisher_numeric(spec: ProbeSpec, chi: float = 0.0) -> float:
-    """Fisher information by quadrature of (dP/dchi)^2 / P for the shifted
-    density P(p - chi).
+        F = (2 alpha (alpha - 1) / gamma^2) m_(alpha - 2),
 
-    The family is a pure location family, so the result does not depend on
-    ``chi``; the parameter exists to let callers confirm that, up to
-    |chi| = 1e6 gamma.  The score is analytic, d(ln P)/dp =
-    -(2 alpha / gamma) |u|^(alpha-1) sign(u) with u = (p - chi)/gamma, so the
-    integrand is the squared score times the density, integrated at unit width
-    about chi/gamma and rescaled by (2 alpha/gamma)^2 in the log domain.
+    integrated at unit width and rescaled in the log domain.  It meets the
+    closed form (2 alpha/gamma)^2 m_(2 alpha - 2) only through the identity
+    2 alpha (alpha - 1) m_(alpha - 2) = 4 alpha^2 m_(2 alpha - 2) between
+    gamma functions, so the two are independent checks of each other.
     """
-    a, shift = spec.alpha, require_finite("chi", chi) / spec.gamma
-    if not abs(shift) <= _SHIFT_MAX:
-        raise DomainError(f"|chi|/gamma = {abs(shift):g} is above {_SHIFT_MAX:g}")
-    integral = _unit_integral(a, lambda power: power(2 * a - 2), shift)
-    return _exp(2.0 * (math.log(2.0 * a) - math.log(spec.gamma)) + math.log(integral))
+    a = spec.alpha
+    integral = _unit_integral(a, lambda power: power(a - 2))
+    log_scale = math.log(2.0 * a * (a - 1)) - 2.0 * math.log(spec.gamma)
+    return _exp(log_scale + math.log(integral))
 
 
 def crb(fisher: float, n: int) -> float:
@@ -222,7 +219,7 @@ def repetitions_required(alpha: int) -> RepetitionsEstimate:
     """Repetitions needed before the maximum-likelihood variance approaches
     the Cramer-Rao floor, as closed form plus an independent quadrature.
 
-    The two routes agree to 1e-6 relative for even alpha >= 4.  At alpha = 2
+    The two routes agree to 1e-12 relative for even alpha >= 4.  At alpha = 2
     the integrand's derivative powers are not integrable in the form used
     here, so only the closed form is returned, flagged via ``quadrature is
     None``; its value there is exactly 0 (the Gaussian sample mean attains
@@ -273,7 +270,7 @@ class BoundReport:
     Invariants (enforced by construction and checked in the tests):
     ``crb == 1/(repetitions * fisher)`` exactly;
     ``energy_bound * repetitions / mean_energy`` depends only on alpha;
-    ``fisher`` and ``quantum_fisher`` agree to 1e-6 relative.
+    ``fisher`` and ``quantum_fisher`` agree to 1e-12 relative.
     """
 
     alpha: int

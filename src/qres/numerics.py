@@ -214,9 +214,9 @@ def integrate(f, lo: float, hi: float) -> float:
     estimate or total that overflows a float, raise :class:`DomainError` in
     the round where they occur.
 
-    The probe's quadrature routes pass it only the half-window from the
-    centre of their even integrands (``probe._unit_integral``), so its 32
-    starting panels cover half the probe's window.
+    The probe's quadrature routes pass it only the half-window [0, window]
+    of their even unit-width integrands (``probe._unit_integral``), so its
+    32 starting panels cover half the probe's window.
 
     The limits must satisfy ``lo < hi``, both finite, and 2 max(|lo|, |hi|)
     must be a float too, so that the nodes can be formed.

@@ -53,9 +53,9 @@ ALPHA_MAX = 200
 # no adaptive tail hunting.
 TAIL_EXPONENT = 350.0
 
-# Largest exponent k ln|p/gamma| fed to exp() when forming |p/gamma|^k: the
-# cap keeps the power finite, and at k = alpha the density factor
-# exp(-2|p/gamma|^alpha) has underflowed to zero long before it.
+# Largest exponent alpha ln|p/gamma| that log_density feeds to exp() when
+# forming |p/gamma|^alpha: the cap keeps the power finite, and the density
+# factor exp(-2|p/gamma|^alpha) has underflowed to zero long before it.
 _EXP_CLIP = 705.0
 
 
@@ -174,31 +174,30 @@ def _stated(alpha, energy) -> tuple[ProbeSpec, float]:
     return alpha, mean_energy(alpha)
 
 
-def _unit_integral(alpha: int, weight, shift: float = 0.0) -> float:
-    """The integral of weight(power) P(u), u = t - shift, over the window of
-    the unit-width probe centred at ``shift``: the one quadrature behind every
-    probe integral, at :func:`~qres.numerics.integrate`'s one policy.  It is
-    O(1) at any width, so callers rescale in the log domain.  ln|u| is
-    taken once per node, and power(k) forms |u|^k (k > 0) from it, for the
-    even weight and the density alike, as exp(k ln|u|) capped at _EXP_CLIP.
+def _unit_integral(alpha: int, weight) -> float:
+    """The integral of weight(power) P(u) over the window of the unit-width
+    probe: the one quadrature behind every probe integral, at
+    :func:`~qres.numerics.integrate`'s one policy.  It is O(1) at any width,
+    so callers rescale in the log domain.  ln u is taken once per node, and
+    power(k) forms u^k from it, for the even weight and the density alike,
+    as exp(k ln u).  Every k is at most 2 alpha - 2 and u at most
+    TAIL_EXPONENT^(1/alpha), so k ln u stays below 2 ln TAIL_EXPONENT and
+    the power needs no cap.
 
     Evenness contract: the integrand sees u only through power, that is
-    through |u|, and the density is even, so it is even about ``shift``;
-    the integral is twice the one over the half-window [shift, shift +
-    window], whose 32 starting panels are then half as wide."""
+    through |u|, and the density is even, so the integral is twice the one
+    over the half-window [0, window], whose 32 starting panels are then half
+    as wide.  The Gauss-Kronrod nodes are interior, so every u there is
+    positive."""
     unit = ProbeSpec(alpha, 1.0)
     window = truncation_window(unit)
     log_prefactor = _log_prefactor(unit)
 
-    def integrand(t):
-        log_u = t - shift
-        np.abs(log_u, out=log_u)
-        with np.errstate(divide="ignore"):  # ln 0 = -inf gives 0^k = 0
-            np.log(log_u, out=log_u)
+    def integrand(u):
+        log_u = np.log(u)
 
         def power(k):
             out = np.multiply(k, log_u)
-            np.minimum(out, _EXP_CLIP, out=out)
             return np.exp(out, out=out)
 
         # weight(power) * exp(log_prefactor - 2 power(alpha)), in place
@@ -208,7 +207,7 @@ def _unit_integral(alpha: int, weight, shift: float = 0.0) -> float:
         np.exp(values, out=values)
         return np.multiply(weight(power), values, out=values)
 
-    return 2.0 * integrate(integrand, shift, shift + window)
+    return 2.0 * integrate(integrand, 0.0, window)
 
 
 def position_variance(spec: ProbeSpec) -> float:

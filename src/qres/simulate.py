@@ -79,7 +79,8 @@ _GRID_MAX_POINTS = 2**16 + 1
 # does not settle within 401 points.  So the tolerance never falls below
 # this multiple of |L| at the peak; |L| is about N / alpha, so that floor
 # passes _GRID_RTOL only beyond N of about 560 alpha.  The closed form at
-# alpha = 2 needs no floor: it settles on 101 points at N = 1e6 without one.
+# alpha = 2 needs no floor: it settles on 101 points at N = 1e6 without one,
+# and it drops the row constant of L, so its |L| at the peak is near 0.
 # The Chebyshev route rounds less from cell to cell, since its nodes'
 # rounding enters every cell through one polynomial: at alpha = 4 and
 # N = 2e5 it settles within 201 points without the floor.
@@ -450,13 +451,12 @@ def _row_likelihoods(spec: ProbeSpec, centred: np.ndarray):
     per block.
 
     At alpha >= 4 the state is the samples, for :func:`_log_likelihoods`.
-    At alpha = 2 it is each row's mean m and S = sum_j ((p_j - m) / gamma)^2,
-    and the sum is taken in closed form about m, as
-    -2 [S + N ((x - m) / gamma)^2]: both terms are non-negative, so nothing
-    cancels, and a row costs O(N + G) instead of O(N G).  S is a row sum,
-    whose bits do not depend on how many rows there are; np.einsum's
-    buffered loop adds rows of more than 8192 samples in another order in a
-    block than alone."""
+    At alpha = 2 it is each row's mean m, and the sum is taken in closed
+    form about m, as -2 N ((x - m) / gamma)^2, so a row costs O(N + G)
+    instead of O(N G).  That is the direct sum less its row constant
+    -2 sum_j ((p_j - m) / gamma)^2, which cancels once the posterior
+    subtracts each row's peak.  The mean is a row sum, whose bits do not
+    depend on how many rows there are."""
 
     def take(array, rows):
         return array if rows.size == len(array) else array[rows]
@@ -466,17 +466,12 @@ def _row_likelihoods(spec: ProbeSpec, centred: np.ndarray):
     n = centred.shape[1]
     inverse_gamma = 1.0 / spec.gamma
     mean = centred.mean(axis=1, keepdims=True)
-    residuals = centred - mean
-    residuals *= inverse_gamma
-    residuals *= residuals
-    total = residuals.sum(axis=1, keepdims=True)
 
     def closed_form(rows, grids):
         cells = grids - take(mean, rows)
         cells *= inverse_gamma
         cells *= cells
         cells *= n
-        cells += take(total, rows)
         return -2.0 * cells
 
     return closed_form
@@ -632,11 +627,12 @@ def posterior(samples: SampleSet, grid_points: int = 101) -> PosteriorGrid:
     of three routes.  The direct sum over the samples at each grid point is
     the reference, the same at every alpha, that the other two are tested
     against.  At alpha = 2 L is the closed form about the sample mean,
-    O(N + grid).  At alpha >= 4 L is a polynomial of degree alpha, so
-    its values at the alpha + 1 Chebyshev points of the second kind of the
-    final window fix it, and every grid point, on the first grid and on each
-    doubling, follows by barycentric interpolation, stable at those points
-    (Berrut & Trefethen, SIAM Rev. 46:501, 2004): O(alpha N + alpha grid).
+    less a constant of the row that the normalization removes, O(N + grid).
+    At alpha >= 4 L is a polynomial of degree alpha, so its values at the
+    alpha + 1 Chebyshev points of the second kind of the final window fix
+    it, and every grid point, on the first grid and on each doubling,
+    follows by barycentric interpolation, stable at those points (Berrut &
+    Trefethen, SIAM Rev. 46:501, 2004): O(alpha N + alpha grid).
     That route's error is about alpha eps max|L| at any cell, where max|L|
     over the window is at an edge; relative to |L(0)|, the smallest |L|
     (at the estimate, where the concave L peaks), it measured at most about

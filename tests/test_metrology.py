@@ -12,6 +12,7 @@ import time
 import warnings
 from math import lgamma
 
+import numpy as np
 import pytest
 
 from qres import metrology, probe
@@ -62,32 +63,25 @@ class TestFisher:
     @pytest.mark.parametrize("alpha", range(2, 202, 2))
     def test_numeric_agrees_with_closed_form(self, alpha):
         # both quadrature routes; the worst gap measured over the even alphas
-        # was 2.0e-14 (fisher_numeric at chi = 0.7)
+        # was 8.0e-15 (fisher_numeric)
         spec = ProbeSpec(alpha, 1.0)
         closed = fisher_closed(spec)
         assert fisher_numeric(spec) == pytest.approx(closed, rel=1e-12)
-        assert fisher_numeric(spec, 0.7) == pytest.approx(closed, rel=1e-12)
         assert 4.0 * position_variance(spec) == pytest.approx(closed, rel=1e-12)
 
-    def test_shift_independence(self):
-        # pure location family: the information is the same at any signal
-        spec = ProbeSpec(6, 0.8)
-        at_zero = fisher_numeric(spec, chi=0.0)
-        at_shift = fisher_numeric(spec, chi=0.7)
-        assert at_shift == pytest.approx(at_zero, rel=1e-7)
-
-    def test_shift_beyond_a_million_widths_is_refused(self):
-        # 1e15 widths: the shifted nodes are off by about a width, and the
-        # quadrature returned 4.86e7 against the closed form's 2.16e7
-        with pytest.raises(DomainError, match="chi"):
-            fisher_numeric(ProbeSpec(20, 1e-3), chi=1e12)
-        # 1e6 widths, still within the quadrature tolerance at every alpha
-        for alpha in range(2, 202, 2):
-            spec = ProbeSpec(alpha, 1e-3)
-            for chi in (-1e3, 1e3):
-                assert fisher_numeric(spec, chi) == pytest.approx(
-                    fisher_closed(spec), rel=1e-8
-                )
+    def test_numeric_and_position_variance_integrate_different_integrands(self, monkeypatch):
+        # fisher_numeric integrates the curvature |u|^(alpha - 2) P(u) and
+        # position_variance the squared score |u|^(2 alpha - 2) P(u): on
+        # the same nodes their ratio is |u|^-alpha, not a constant, so
+        # criterion 1 compares two integrals, not one integral with itself
+        integrands = []
+        monkeypatch.setattr(probe, "integrate", lambda f, lo, hi: integrands.append(f) or 1.0)
+        spec = ProbeSpec(20, 1.0)
+        fisher_numeric(spec)
+        position_variance(spec)
+        nodes = np.linspace(0.5, 1.2, 8)
+        curvature, score = (f(nodes.copy()) for f in integrands)
+        np.testing.assert_allclose(score / curvature, nodes**20, rtol=1e-12)
 
 
 class TestCrb:
@@ -324,30 +318,28 @@ class TestPinnedQuadratures:
         )
 
 
-# Each route with the alphas it is taken at, the shift it integrates about and
-# its (integrand batches, evaluations) summed over those alphas; integrating
-# the whole window took (332, 77700), (332, 77700) and (405, 87960).
+# Each route with the alphas it is taken at and its (integrand batches,
+# evaluations) summed over those alphas; integrating the whole window took
+# (332, 77700), (332, 77700) and (405, 87960), and fisher_numeric took
+# (240, 65040) while it integrated the squared score.
 _QUADRATURE_WORK = {
     "position_variance": (
         range(2, 202, 2),
         lambda a: position_variance(ProbeSpec(a, 1.0)),
-        0.0,
         (240, 65040),
     ),
     "fisher_numeric": (
         range(2, 202, 2),
-        lambda a: fisher_numeric(ProbeSpec(a, 1.0), 0.7),
-        0.7,
-        (240, 65040),
+        lambda a: fisher_numeric(ProbeSpec(a, 1.0)),
+        (221, 62520),
     ),
-    "repetitions": (range(4, 202, 2), repetitions_required, 0.0, (288, 71250)),
+    "repetitions": (range(4, 202, 2), repetitions_required, (288, 71250)),
 }
 
 
 def test_every_quadrature_route_makes_one_call_at_one_policy(monkeypatch):
     # integrate takes no policy arguments: every route runs at its one policy,
-    # one call per alpha over the half-window from the shift, with the pinned
-    # work
+    # one call per alpha over the half-window from 0, with the pinned work
     integrate = probe.integrate
     work, lows = [0, 0], []
 
@@ -361,24 +353,26 @@ def test_every_quadrature_route_makes_one_call_at_one_policy(monkeypatch):
         return integrate(counted, lo, hi)
 
     monkeypatch.setattr(probe, "integrate", recording)
-    for alphas, route, shift, expected in _QUADRATURE_WORK.values():
+    for alphas, route, expected in _QUADRATURE_WORK.values():
         work[:], lows[:] = [0, 0], []
         for alpha in alphas:
             route(alpha)
         assert tuple(work) == expected
-        assert lows == [shift] * len(alphas)
+        assert lows == [0.0] * len(alphas)
 
 
 # SHA-256 of float.hex of every field of bound_report(alpha, energy, 50) and
-# of fisher_numeric at chi = 0.7 gamma, for every even alpha at three
-# energies, recorded from the heap-ordered quadrature loop and re-pinned when
-# the alpha = 2 width and Fisher information became exact (only the alpha = 2
-# rows moved, each by a few ulp toward the exact value), and again when each
-# quadrature became twice the integral over its half-window (old and new
-# agree within 7.1e-13).  The pins above hold to 1e-12; this one holds bit
-# for bit.  Like the sampler digests, it depends on numpy's exp and log.
+# of fisher_numeric, for every even alpha at three energies, recorded from
+# the heap-ordered quadrature loop and re-pinned when the alpha = 2 width and
+# Fisher information became exact (only the alpha = 2 rows moved, each by a
+# few ulp toward the exact value), again when each quadrature became twice
+# the integral over its half-window (old and new agree within 7.1e-13), and
+# again when fisher_numeric moved from the squared score at chi = 0.7 gamma
+# to the curvature (the report fields kept their bits).  The pins above hold
+# to 1e-12; this one holds bit for bit.  Like the sampler digests, it
+# depends on numpy's exp and log.
 _REPORT_ENERGIES = (1e-250, 1.0 / 3.0, 1e250)
-_REPORT_SHA256 = "b967d7e9cc952db400d25da9476bbcd7ce0c14920a62d64a57d6355c33804630"
+_REPORT_SHA256 = "044649785b17439ee274e7cc76f981e707d14311068ec6765d68dd5a948196f9"
 
 
 def test_reports_and_fisher_quadrature_match_the_pinned_digest():
@@ -387,7 +381,7 @@ def test_reports_and_fisher_quadrature_match_the_pinned_digest():
         for energy in _REPORT_ENERGIES:
             report = bound_report(alpha, energy, 50)
             spec = ProbeSpec(alpha, report.gamma)
-            values = [*report.to_dict().values(), fisher_numeric(spec, 0.7 * spec.gamma)]
+            values = [*report.to_dict().values(), fisher_numeric(spec)]
             for value in values:
                 text = value.hex() if isinstance(value, float) else str(value)
                 digest.update(text.encode() + b",")
