@@ -10,14 +10,15 @@ a flat prior,
 
 on a uniform grid over the window where the log-likelihood stays within 40
 nats of its value at the estimate, doubled until the posterior variance
-converges.  For even alpha the log-likelihood is a polynomial of degree
-alpha in x: at alpha = 2 it is taken in closed form, and at alpha >= 4 a
-well-conditioned row interpolates it from alpha + 1 direct sums at the
-Chebyshev points of its window.  The direct sum over the samples, taken the
-same way at every alpha, is the reference that both faster routes are
-tested against.  Repeated-trial studies compare the empirical estimator
-variance and the mean posterior variance against the energy-constrained
-bound.
+converges.  The grid is the window's coordinate u in [-1, 1], the same
+points for every posterior, and its moments return to signal units once.
+For even alpha the log-likelihood is a polynomial of degree alpha in x: at
+alpha = 2 it is taken in closed form, and at alpha >= 4 a well-conditioned
+row interpolates it from alpha + 1 direct sums at the Chebyshev points of
+its window.  The direct sum over the samples, taken the same way at every
+alpha, is the reference that both faster routes are tested against.
+Repeated-trial studies compare the empirical estimator variance and the
+mean posterior variance against the energy-constrained bound.
 
 Studies run their trials in blocks: each stage draws, solves or integrates
 a whole block as (trials, N) and (trials, grid) arrays, and :func:`draw`,
@@ -369,28 +370,17 @@ def mle(samples: SampleSet) -> float:
     return float(_mles(samples.spec, samples.outcomes[None])[0])
 
 
-def _grids(lo: np.ndarray, hi: np.ndarray, points: int) -> np.ndarray:
-    """Row t is ``np.linspace(lo[t], hi[t], points)`` (for a nonzero step),
-    in a C-ordered array: ``linspace`` with ``axis=1`` returns an F-ordered
-    view, and a row sum over an F-ordered array adds in another order than
-    the sum over one grid."""
-    grid = np.arange(points) * ((hi - lo) / (points - 1))[:, None]
-    grid += lo[:, None]
-    grid[:, -1] = hi
-    return grid
+def _trapezoid(values: np.ndarray, du: float) -> np.ndarray:
+    return du * (values.sum(axis=1) - 0.5 * (values[:, 0] + values[:, -1]))
 
 
-def _trapezoid(values: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    return dx * (values.sum(axis=1) - 0.5 * (values[:, 0] + values[:, -1]))
-
-
-def _moments(grid: np.ndarray, weights: np.ndarray, dx: np.ndarray) -> tuple:
+def _moments(u: np.ndarray, weights: np.ndarray, du: float) -> tuple:
     """Trapezoid normalization, mean and variance of the unnormalized
-    weights in each row."""
-    norm = _trapezoid(weights, dx)
+    weights in each row, on the points ``u`` of step ``du``."""
+    norm = _trapezoid(weights, du)
     density = weights / norm[:, None]
-    mean = _trapezoid(grid * density, dx)
-    return norm, mean, _trapezoid((grid - mean[:, None]) ** 2 * density, dx)
+    mean = _trapezoid(u * density, du)
+    return norm, mean, _trapezoid((u - mean[:, None]) ** 2 * density, du)
 
 
 def _grid_points(grid_points) -> int:
@@ -477,27 +467,20 @@ def _row_likelihoods(spec: ProbeSpec, centred: np.ndarray):
     return closed_form
 
 
-def _chebyshev_nodes(lo: np.ndarray, hi: np.ndarray, degree: int) -> np.ndarray:
-    """The :func:`_chebyshev_points` mapped onto each window [lo, hi], one
-    row per window."""
-    middle, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return middle[:, None] + half[:, None] * _chebyshev_points(degree)
-
-
-def _interpolated(values: np.ndarray, positions: np.ndarray) -> np.ndarray:
+def _interpolated(values: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Each row's polynomial, given by its values at the
-    :func:`_chebyshev_points`, at ``positions`` of [-1, 1].  The product
+    :func:`_chebyshev_points`, at the points ``u`` of [-1, 1].  The product
     with the barycentric matrix is a batch of one-row products, so that a
     row's bits do not depend on how many rows there are."""
-    matrix = _barycentric_matrix(values.shape[1] - 1, positions)
+    matrix = _barycentric_matrix(values.shape[1] - 1, u)
     return np.matmul(values[:, None], matrix)[:, 0]
 
 
 def _windows(spec: ProbeSpec, likelihood, trials: int, n: int) -> tuple:
-    """Each row's posterior window [lo, hi], as offsets from the centre
-    where its samples are centred, with its log-likelihood at the centre and
-    at both final edges, (trials, 2): see :func:`posterior`.  ``likelihood``
-    is the block's :func:`_row_likelihoods`."""
+    """Each row's posterior window, its middle and half-width as offsets from
+    the centre of its samples, with its log-likelihood at the centre and at
+    both final edges, (trials, 2): see :func:`posterior`.  ``likelihood`` is
+    the block's :func:`_row_likelihoods`."""
     index = np.arange(trials)
     start = _GRID_SIGMAS / math.sqrt(n * fisher_closed(spec))
     offsets = np.repeat([[-start, start]], trials, axis=0)
@@ -509,7 +492,14 @@ def _windows(spec: ProbeSpec, likelihood, trials: int, n: int) -> tuple:
         offsets[shallow] *= _WINDOW_GROWTH
         wider = shallow.any(axis=1)
         edges[wider] = likelihood(index[wider], offsets[wider])
-    return offsets[:, 0], offsets[:, 1], probes[:, 0], edges
+    lo, hi = offsets[:, 0], offsets[:, 1]
+    return 0.5 * (lo + hi), 0.5 * (hi - lo), probes[:, 0], edges
+
+
+def _in_windows(middle: np.ndarray, half: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The points ``u`` of [-1, 1] in each window ``middle`` +- ``half``, as
+    offsets from the centre, one row per window."""
+    return middle[:, None] + half[:, None] * u
 
 
 def _posteriors(spec: ProbeSpec, centred: np.ndarray, centers: np.ndarray, points: int) -> tuple:
@@ -518,72 +508,66 @@ def _posteriors(spec: ProbeSpec, centred: np.ndarray, centers: np.ndarray, point
     that entry: the rows' means, variances and variance errors stacked in a
     (3, trials) array, and row 0's grid.
 
-    Every row starts on ``points`` points, and the rows whose variance has
-    not converged double together.  A row that :func:`_chebyshev_rows`
-    admits evaluates the direct sum once, at the alpha + 1 Chebyshev points
-    of its final window: even alpha makes L a polynomial of degree alpha,
-    so those values fix it, and every grid point, the doubling rounds'
-    midpoints too, follows from them by :func:`_interpolated`.  Each grid
-    maps to the same points of [-1, 1], so one matrix per grid serves every
-    row.  The window probes and the other rows take the direct sum.
+    Each posterior is taken in its window's coordinate u of [-1, 1], so one
+    grid and one step serve every row, and its mean and variance return to
+    signal units once, at the end.  Rows start on ``points`` points, and
+    those whose variance has not converged double together.  A row that
+    :func:`_chebyshev_rows` admits evaluates the direct sum once, at the
+    alpha + 1 Chebyshev points of its final window: even alpha makes L a
+    polynomial of degree alpha, so those values fix it, and every grid
+    point, the doubling rounds' midpoints too, follows from them by
+    :func:`_interpolated`.  The window probes and the other rows take the
+    direct sum at the points :func:`_in_windows` places.
 
-    The window and grids are offsets from 0, and the centers are added back
-    to the means, the maximum and row 0's grid: formed in absolute
-    coordinates, the grid and the residuals p_j - x round by an amount that
-    grows with |chi|."""
+    The windows are offsets from 0, and the centers are added back to the
+    means and row 0's grid: formed in absolute coordinates, the grid and the
+    residuals p_j - x round by an amount that grows with |chi|."""
     trials, n = centred.shape
     likelihood = _row_likelihoods(spec, centred)
     index = np.arange(trials)
-    lo, hi, centre, edges = _windows(spec, likelihood, trials, n)
+    middle, half, centre, edges = _windows(spec, likelihood, trials, n)
     chebyshev = _chebyshev_rows(spec.alpha, centre, edges, points)
+
+    def direct(rows, u):
+        return likelihood(rows, _in_windows(middle[rows], half[rows], u))
+
     values = np.empty((trials, spec.alpha + 1))
     if chebyshev.any():
-        nodes = _chebyshev_nodes(lo[chebyshev], hi[chebyshev], spec.alpha)
-        values[chebyshev] = likelihood(index[chebyshev], nodes)
+        values[chebyshev] = direct(index[chebyshev], _chebyshev_points(spec.alpha))
 
-    def evaluate(rows, grids, positions):
-        # the log-likelihood of ``rows`` on ``grids``, whose points lie at
-        # ``positions`` of [-1, 1] in every row's window
+    def evaluate(rows, u):
+        # the log-likelihood of ``rows`` at the points ``u`` of their windows
         route = chebyshev[rows]
         if not route.any():
-            return likelihood(rows, grids)
-        out = np.empty(grids.shape)
-        out[route] = _interpolated(values[rows[route]], positions)
+            return direct(rows, u)
+        out = np.empty((len(rows), len(u)))
+        out[route] = _interpolated(values[rows[route]], u)
         if not route.all():
-            out[~route] = likelihood(rows[~route], grids[~route])
+            out[~route] = direct(rows[~route], u)
         return out
 
     stats = np.empty((3, trials))
-    first = None
-    grid = _grids(lo, hi, points)
-    log_w = evaluate(index, grid, np.linspace(-1.0, 1.0, points))
+    u = np.linspace(-1.0, 1.0, points)
+    log_w = evaluate(index, u)
     while True:
-        dx = grid[:, 1] - grid[:, 0]
+        du = 2.0 / (points - 1)
         peak = log_w.max(axis=1)
         weights = np.exp(log_w - peak[:, None])
-        norm, mean, variance = _moments(grid, weights, dx)
-        occupied = (weights / norm[:, None] * dx[:, None] > 1e-12).sum(axis=1) >= 3
+        norm, mean, variance = _moments(u, weights, du)
+        occupied = (weights / norm[:, None] * du > 1e-12).sum(axis=1) >= 3
         if not (variance[occupied] > 0.0).all():
             raise ResolutionError("degenerate posterior variance on this grid")
         # rows of fewer than 3 occupied cells divide by zero here and refine
         with np.errstate(divide="ignore", invalid="ignore"):
-            coarse = _moments(grid[:, ::2], weights[:, ::2], 2.0 * dx)[2]
+            coarse = _moments(u[::2], weights[:, ::2], 2.0 * du)[2]
             error = np.abs(coarse - variance) / variance
         done = occupied & (error <= np.maximum(_GRID_RTOL, _LIKELIHOOD_ROUNDING * np.abs(peak)))
-        mean += centers[index]
         stats[:, index[done]] = mean[done], variance[done], error[done]
         if index[0] == 0 and done[0]:
-            first = PosteriorGrid(
-                grid=grid[0] + centers[0],
-                log_weights=log_w[0] - peak[0] - math.log(norm[0]),
-                mean=float(mean[0]),
-                variance=float(variance[0]),
-                map_estimate=float(grid[0, int(np.argmax(log_w[0]))] + centers[0]),
-                variance_error=float(error[0]),
-            )
+            first_u, first_log_w = u, log_w[0] - peak[0] - math.log(norm[0] * half[0])
         going = ~done
         if not going.any():
-            return stats, first
+            break
         points = 2 * points - 1
         if points > _GRID_MAX_POINTS:
             raise ResolutionError(
@@ -592,14 +576,23 @@ def _posteriors(spec: ProbeSpec, centred: np.ndarray, centers: np.ndarray, point
                 "has not converged"
             )
         index, log_w = index[going], log_w[going]
-        lo, hi = lo[going], hi[going]
-        # each row steps by (hi - lo) / (points - 1), exactly half its old
-        # step, so the even points of the finer grid are the old grid
-        grid = _grids(lo, hi, points)
-        finer = np.empty(grid.shape)
+        # the step halves exactly: the finer grid's even points are the old grid
+        u = np.linspace(-1.0, 1.0, points)
+        finer = np.empty((len(index), points))
         finer[:, ::2] = log_w
-        finer[:, 1::2] = evaluate(index, grid[:, 1::2], np.linspace(-1.0, 1.0, points)[1::2])
+        finer[:, 1::2] = evaluate(index, u[1::2])
         log_w = finer
+    stats[0] = centers + (middle + half * stats[0])
+    stats[1] *= half * half
+    grid = centers[0] + _in_windows(middle[:1], half[:1], first_u)[0]
+    return stats, PosteriorGrid(
+        grid=grid,
+        log_weights=first_log_w,
+        mean=float(stats[0, 0]),
+        variance=float(stats[1, 0]),
+        map_estimate=float(grid[np.argmax(first_log_w)]),
+        variance_error=float(stats[2, 0]),
+    )
 
 
 def posterior(samples: SampleSet, grid_points: int = 101) -> PosteriorGrid:
@@ -611,17 +604,20 @@ def posterior(samples: SampleSet, grid_points: int = 101) -> PosteriorGrid:
     Each side then widens by 1.5x until the log-likelihood at its edge lies
     at least 40 nats below its value at the estimate; the log-likelihood is
     concave, so the posterior beyond either edge is below e^-40 of its peak.
-    The samples are centred on the estimate and the grid is built as offsets
-    from it, so its rounding does not grow with the size of the signal.
+    The samples are centred on the estimate and the window is taken as
+    offsets from it, so its rounding does not grow with the size of the
+    signal.
 
-    ``grid_points`` (odd, at least 101) is the starting and smallest grid.
-    While the variance from every other point differs from the full grid's
-    by more than 1e-12 relative, the grid doubles and only the new midpoints
-    are evaluated.  At large N the tolerance rises to 8 eps |L|, the
-    rounding of the summed log-likelihood L at its peak, which no finer
-    grid removes.  The density is normalized by the trapezoid rule; mean,
-    variance and the maximum are computed from the normalized grid, not
-    from a Gaussian fit.
+    ``grid_points`` (odd, at least 101) is the starting and smallest grid,
+    equally spaced in the window's coordinate u in [-1, 1]: the window of
+    middle m and half-width h holds the points m + h u.  While the variance
+    from every other point differs from the full grid's by more than 1e-12
+    relative, the grid doubles and only the new midpoints are evaluated.  At
+    large N the tolerance rises to 8 eps |L|, the rounding of the summed
+    log-likelihood L at its peak, which no finer grid removes.  The density
+    is normalized by the trapezoid rule in u; mean, variance and the maximum
+    are computed from the normalized grid, not from a Gaussian fit, and the
+    moments return to signal units as m + h mean_u and h^2 var_u.
 
     The log-likelihood L(x) = -2 sum_j |(p_j - x) / gamma|^alpha takes one
     of three routes.  The direct sum over the samples at each grid point is

@@ -4,9 +4,10 @@ Oracles: distribution moments and a Kolmogorov-Smirnov check of the exact
 sampler, Gaussian conjugacy of the posterior at alpha = 2, direct objective
 comparisons for the MLE, the direct likelihood sum for its Chebyshev route
 and its alpha = 2 closed form, the two-sample midpoint identities and a
-per-trial quadrature of the posterior's moments, scale and translation
-equivariance, pinned outputs with MLEs solved in 60-digit arithmetic, and
-the closed-form bounds for trial aggregates.
+per-trial quadrature of the posterior's moments, the uniform law of the
+posterior CDF at the true signal, scale and translation equivariance,
+pinned outputs with MLEs solved in 60-digit arithmetic, and the
+closed-form bounds for trial aggregates.
 """
 
 import dataclasses
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
+from scipy.integrate import cumulative_trapezoid
 
 from qres.errors import DomainError, ResolutionError
 from qres.metrology import crb, fisher_closed
@@ -335,36 +337,32 @@ def test_log_likelihood_matches_the_direct_sum(alpha, chi):
 
 
 def _centred_windows(alpha, n, trials, seed):
-    """A block of trials centred on their MLEs, with each row's window,
-    log-likelihood at the centre and at both edges, and admission to the
-    Chebyshev route on 101 points, as the posterior builds them."""
+    """A block of trials centred on their MLEs, with each row's window
+    middle and half-width, and admission to the Chebyshev route on 101
+    points, as the posterior builds them."""
     spec = ProbeSpec(alpha, gamma_for_energy(alpha, 1.0 / 3.0))
     outcomes = np.stack([draw(spec, 0.2, n, RngStream(seed, j)).outcomes for j in range(trials)])
     centred = outcomes - simulate._mles(spec, outcomes)[:, None]
     likelihood = simulate._row_likelihoods(spec, centred)
-    lo, hi, centre, edges = simulate._windows(spec, likelihood, trials, n)
+    middle, half, centre, edges = simulate._windows(spec, likelihood, trials, n)
     admitted = simulate._chebyshev_rows(alpha, centre, edges, 101)
-    return spec, centred, lo, hi, admitted
+    return spec, centred, middle, half, admitted
 
 
 @pytest.mark.parametrize("alpha,n", [(4, 50), (8, 50), (20, 50), (20, 200)])
 def test_chebyshev_route_matches_the_direct_sum(alpha, n):
-    spec, centred, lo, hi, admitted = _centred_windows(alpha, n, 100, 3)
+    spec, centred, middle, half, admitted = _centred_windows(alpha, n, 100, 3)
     # the criterion-4 shape (20, 50) admits about 90% of rows
     assert admitted.mean() >= 0.8
-    centred, lo, hi = centred[admitted], lo[admitted], hi[admitted]
-    values = _log_likelihoods(spec, centred, simulate._chebyshev_nodes(lo, hi, alpha))
+    centred, middle, half = centred[admitted], middle[admitted], half[admitted]
+
+    def direct(u):
+        return _log_likelihoods(spec, centred, simulate._in_windows(middle, half, u))
+
+    values = direct(simulate._chebyshev_points(alpha))
     # the first grid, and the midpoints that its first doubling adds
-    for grid, positions in (
-        (simulate._grids(lo, hi, 101), np.linspace(-1.0, 1.0, 101)),
-        (simulate._grids(lo, hi, 201)[:, 1::2], np.linspace(-1.0, 1.0, 201)[1::2]),
-    ):
-        np.testing.assert_allclose(
-            simulate._interpolated(values, positions),
-            _log_likelihoods(spec, centred, grid),
-            rtol=1e-12,
-            atol=0,
-        )
+    for u in (np.linspace(-1.0, 1.0, 101), np.linspace(-1.0, 1.0, 201)[1::2]):
+        np.testing.assert_allclose(simulate._interpolated(values, u), direct(u), rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("alpha,n", [(20, 1), (20, 2), (20, 10), (50, 400), (200, 50)])
@@ -504,6 +502,26 @@ def test_gaussian_log_likelihood_is_the_closed_form_at_large_n(chi, monkeypatch)
     )
 
 
+def _record_posterior_work(monkeypatch):
+    """Patch the direct likelihood sum and the Chebyshev selector to record
+    each sum's points per row and cells (rows x samples x points), and each
+    block's admitted rows."""
+    calls, admitted = [], []
+    log_likelihoods, chebyshev_rows = simulate._log_likelihoods, simulate._chebyshev_rows
+
+    def counting(spec, outcomes, grids):
+        calls.append((grids.shape[1], grids.size * outcomes.shape[1]))
+        return log_likelihoods(spec, outcomes, grids)
+
+    def recording(*args):
+        admitted.append(chebyshev_rows(*args))
+        return admitted[-1]
+
+    monkeypatch.setattr(simulate, "_log_likelihoods", counting)
+    monkeypatch.setattr(simulate, "_chebyshev_rows", recording)
+    return calls, admitted
+
+
 class TestPosterior:
     def test_gaussian_conjugacy(self):
         # for alpha=2 the posterior is exactly Gaussian with variance
@@ -554,19 +572,7 @@ class TestPosterior:
         # here: alpha = 2 takes the closed form, alpha = 4 the Chebyshev
         # route, and alpha = 50, whose 51 nodes are refused on 101 points,
         # the block sums at every grid point
-        admitted, cells = [], [0]
-        log_likelihoods, chebyshev_rows = simulate._log_likelihoods, simulate._chebyshev_rows
-
-        def counting(spec, outcomes, grids):
-            cells[0] += grids.size * outcomes.shape[1]
-            return log_likelihoods(spec, outcomes, grids)
-
-        def recording(*args):
-            admitted.append(chebyshev_rows(*args))
-            return admitted[-1]
-
-        monkeypatch.setattr(simulate, "_log_likelihoods", counting)
-        monkeypatch.setattr(simulate, "_chebyshev_rows", recording)
+        calls, admitted = _record_posterior_work(monkeypatch)
         samples = draw(ProbeSpec(alpha, 1.0), 0.0, 10**4, RngStream(4, 0))
         tracemalloc.start()
         try:
@@ -577,12 +583,13 @@ class TestPosterior:
         assert peak < 4 * 2**20
         ((chebyshev,),) = admitted
         full = grid.grid.size * samples.n
+        cells = sum(c for _, c in calls)
         if alpha == 2:
-            assert cells[0] == 0 and not chebyshev
+            assert cells == 0 and not chebyshev
         elif alpha == 4:
-            assert 0 < cells[0] < full and chebyshev
+            assert 0 < cells < full and chebyshev
         else:
-            assert cells[0] >= full and not chebyshev
+            assert cells >= full and not chebyshev
 
     @pytest.mark.parametrize("grid_points", [100, 99, 2000, 11])
     def test_grid_points_validation(self, grid_points):
@@ -664,30 +671,88 @@ def test_posterior_grids_evaluate_each_likelihood_value_once(monkeypatch):
     # A row on the Chebyshev route sums the likelihood directly at its 21
     # nodes and nowhere else; any other row at each point of its final grid.
     spec = ProbeSpec(20, gamma_for_energy(20, 1.0 / 3.0))
-    cells = {"grid": 0, "probe": 0}
-    admitted = []
-    log_likelihoods, chebyshev_rows = simulate._log_likelihoods, simulate._chebyshev_rows
-
-    def counting(spec, outcomes, grids):
-        # window-edge probes take at most 3 points; nodes 21, grids at least 100
-        cells["probe" if grids.shape[1] <= 3 else "grid"] += grids.size * outcomes.shape[1]
-        return log_likelihoods(spec, outcomes, grids)
-
-    def recording(*args):
-        admitted.append(chebyshev_rows(*args))
-        return admitted[-1]
-
-    monkeypatch.setattr(simulate, "_log_likelihoods", counting)
-    monkeypatch.setattr(simulate, "_chebyshev_rows", recording)
+    calls, admitted = _record_posterior_work(monkeypatch)
     run_trials(spec, None, 50, 0.2, 200, 7)
     monkeypatch.undo()
     (admitted,) = admitted  # one block
     final_points = [
         posterior(draw(spec, 0.2, 50, RngStream(7, j))).grid.size for j in range(200)
     ]
-    assert cells["grid"] == 50 * np.where(admitted, 21, final_points).sum()
+    # window-edge probes take at most 3 points; nodes 21, grids at least 100
+    grid_cells = sum(c for points, c in calls if points > 3)
+    assert grid_cells == 50 * np.where(admitted, 21, final_points).sum()
     assert admitted.mean() >= 0.8
-    assert cells["grid"] + cells["probe"] <= 101 * 50 * 200 / 2
+    assert sum(c for _, c in calls) <= 101 * 50 * 200 / 2
+
+
+# Direct likelihood cells (rows x samples x points) per study at seed 42,
+# E = 1/3, chi = 0 and 101 starting points: the window probes, the
+# Chebyshev nodes and every grid point summed over the samples.  At
+# (20, 50) 92% of rows take the Chebyshev route; alpha = 50 and 200 take the
+# direct sum on every row, and alpha = 2 the closed form, with no cells.
+_POSTERIOR_CELLS = [
+    ((20, 50, 200), 305_600),
+    ((50, 50, 200), 1_176_500),
+    ((200, 50, 200), 2_464_600),
+    ((2, 10_000, 2), 0),
+]
+
+
+@pytest.mark.parametrize(
+    "shape,cells",
+    _POSTERIOR_CELLS,
+    ids=[f"alpha{a}-n{n}" for (a, n, _), _ in _POSTERIOR_CELLS],
+)
+def test_posterior_direct_cells_are_pinned(shape, cells, monkeypatch):
+    alpha, n, trials = shape
+    calls = _record_posterior_work(monkeypatch)[0]
+    run_trials(alpha, 1.0 / 3.0, n, 0.0, trials, 42)
+    assert sum(c for _, c in calls) == cells
+
+
+def _pit_values(alpha, n, width=1.0, trials=2000):
+    """The posterior CDF at the true signal, U = Pi(chi | p), for trials
+    0 .. trials - 1 at seed 11: the cumulative trapezoid of the grid,
+    interpolated at chi.  ``width`` scales the likelihood's width against
+    the probe that drew the samples."""
+    spec = ProbeSpec(alpha, gamma_for_energy(alpha, 1.0 / 3.0))
+    assumed = ProbeSpec(alpha, width * spec.gamma)
+    chi = 0.3
+    values = np.empty(trials)
+    for j in range(trials):
+        samples = draw(spec, chi, n, RngStream(11, j))
+        grid = posterior(dataclasses.replace(samples, spec=assumed))
+        cdf = cumulative_trapezoid(grid.density, grid.grid, initial=0.0)
+        values[j] = np.interp(chi, grid.grid, cdf)
+    return values
+
+
+@pytest.mark.parametrize("alpha,n", [(2, 50), (4, 2), (20, 1), (20, 50), (200, 2), (200, 50)])
+def test_posterior_is_calibrated(alpha, n):
+    # Under a flat prior, the Haar prior of the translations, U is exactly
+    # Uniform(0, 1) at every N and alpha (Hora & Buehler, Ann. Math.
+    # Statist. 37:643, 1966).  The trial count and the threshold were fixed
+    # before the first run.
+    assert stats.kstest(_pit_values(alpha, n), "uniform").pvalue > 1e-3
+
+
+def test_calibration_test_sees_a_two_percent_width_error():
+    # a likelihood 2% too wide moves the posterior variance by about 4%,
+    # which criterion 4's band and the E / 2 identity's CI would not see
+    assert stats.kstest(_pit_values(200, 50, width=1.02), "uniform").pvalue < 1e-3
+
+
+def test_gaussian_posterior_variance_is_energy_over_n():
+    # At alpha = 2 the posterior is N(m, E / N) for every sample.  The
+    # moments in window coordinates read E / N within 4 eps over this grid
+    # (the absolute grid read it within 3.5 eps); the pin leaves rounding
+    # room but no more.
+    eps = np.finfo(float).eps
+    for n in (1, 2, 3, 10, 50, 1000, 10_000, 200_000):
+        for energy in (1e-3, 1e-2, 1.0 / 3.0, 1.0, 7.0, 1e3):
+            for chi in (0.0, 0.3, -25.0, 1e4):
+                variances = run_trials(2, energy, n, chi, 2, 5).posterior_variances
+                np.testing.assert_allclose(variances, energy / n, rtol=8.0 * eps, atol=0)
 
 
 def _same_bytes(a, b) -> bool:
@@ -731,21 +796,23 @@ def test_trial_blocks_match_one_trial_at_a_time(
 # posterior_variances, in turn, recorded on numpy 2.4.6.  Like the draw
 # digests, they depend on numpy's gamma sampler, transcendental and BLAS
 # kernels; they also pin the MLE's score to one dot product per row.  The
-# alpha = 2 digest was re-pinned when its closed form dropped each row's
-# constant: the MLEs kept their bits, and the variances, which had read up
-# to 5.5e-14 above E/N, now read E/N to the last bit.
+# posterior digests were last re-pinned when the moments moved to each
+# window's coordinate in [-1, 1]: the MLEs kept their bits, and the
+# posterior variances moved within 3.2e-15 relative.  At alpha = 2 the
+# variances read E/N within a few eps, as
+# test_gaussian_posterior_variance_is_energy_over_n pins.
 _STUDY_SHA256 = [
     (
         dict(alpha=20, energy=1.0 / 3.0, n=50, chi=0.2, trials=12, seed=7),
-        "620c76f3a8d97b32aec24f1bf5a92e9deb948d8e9dff0380bff352f39bd040a4",
+        "e3fa47e3001038283e2708ae7b0196d9f90d5b0614452037ba1cdb741dbbbf2f",
     ),
     (
         dict(alpha=200, energy=1.0 / 3.0, n=20, chi=0.2, trials=12, seed=7),
-        "bc3ba763dd4470b33b36280fde939e9438d1bd6683f51987d45afe24ff1ad0bc",
+        "2c8d6d178de1a8f554e678f760c688a7f153b5fc196c6cbdd7ffdbea48d2d60e",
     ),
     (
         dict(alpha=2, energy=1.0 / 3.0, n=10_000, chi=-0.3, trials=2, seed=9),
-        "960a3b758f5b64fc96bb13a59151ee93d3ff04596aae4db93db480e3fd7730fb",
+        "9330bfaabd10dc1285ec949266fa729b389fc8837efb933c411acc566836e567",
     ),
     (
         dict(
